@@ -66,7 +66,8 @@ int main() {
                       "ablation: IRR invalid-length conformance rule");
   topogen::Scenario scenario =
       topogen::build_scenario(benchx::config_from_env());
-  auto records = benchx::classify_only(scenario, scenario.announcements());
+  auto records =
+      ihr::classify(scenario.announcements(), scenario.vrps, scenario.irr);
 
   auto paper_rule = run(scenario, records, /*strict=*/false);
   auto strict_rule = run(scenario, records, /*strict=*/true);

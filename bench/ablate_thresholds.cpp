@@ -15,7 +15,8 @@ int main() {
                       "ablation: Action 4 threshold sweep");
   topogen::Scenario scenario =
       topogen::build_scenario(benchx::config_from_env());
-  auto records = benchx::classify_only(scenario, scenario.announcements());
+  auto records =
+      ihr::classify(scenario.announcements(), scenario.vrps, scenario.irr);
   auto origination = core::compute_origination_stats(records);
 
   benchx::print_section("conformant fraction vs threshold");

@@ -14,7 +14,7 @@ int main() {
   topogen::Scenario scenario =
       topogen::build_scenario(benchx::config_from_env());
   auto records =
-      benchx::classify_only(scenario, scenario.announcements());
+      ihr::classify(scenario.announcements(), scenario.vrps, scenario.irr);
 
   core::CompletenessStats stats = core::compute_registration_completeness(
       scenario.manrs, scenario.as2org, records);

@@ -13,7 +13,8 @@ int main() {
                       "Findings 8.3/8.4 (Action 4 conformance)");
   topogen::Scenario scenario =
       topogen::build_scenario(benchx::config_from_env());
-  auto records = benchx::classify_only(scenario, scenario.announcements());
+  auto records =
+      ihr::classify(scenario.announcements(), scenario.vrps, scenario.irr);
   auto origination = core::compute_origination_stats(records);
 
   struct ProgramStats {

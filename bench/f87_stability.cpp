@@ -22,7 +22,7 @@ int main() {
   std::map<uint32_t, std::vector<bool>> verdicts;
   for (size_t w = 0; w < series.announcements.size(); ++w) {
     auto records =
-        benchx::classify_only(scenario, series.announcements[w]);
+        ihr::classify(series.announcements[w], scenario.vrps, scenario.irr);
     auto origination = core::compute_origination_stats(records);
     for (const auto& participant : scenario.manrs.participants()) {
       for (net::Asn asn : participant.registered_ases) {
@@ -85,8 +85,10 @@ int main() {
   // The actionable delta view (§10: operators asked the reports for more
   // actionable information): first week vs last week.
   benchx::print_section("window delta (first week -> last week)");
-  auto first = benchx::classify_only(scenario, series.announcements.front());
-  auto last = benchx::classify_only(scenario, series.announcements.back());
+  auto first =
+      ihr::classify(series.announcements.front(), scenario.vrps, scenario.irr);
+  auto last =
+      ihr::classify(series.announcements.back(), scenario.vrps, scenario.irr);
   core::ConformanceDelta delta = core::diff_conformance(first, last);
   size_t became = 0, resolved = 0, appeared = 0, withdrawn = 0;
   for (const auto& change : delta.prefix_changes) {

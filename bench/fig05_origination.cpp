@@ -31,7 +31,8 @@ int main() {
                       "Fig 5a/5b + Findings 8.1/8.2 (prefix origination)");
   topogen::Scenario scenario =
       topogen::build_scenario(benchx::config_from_env());
-  auto records = benchx::classify_only(scenario, scenario.announcements());
+  auto records =
+      ihr::classify(scenario.announcements(), scenario.vrps, scenario.irr);
   auto origination = core::compute_origination_stats(records);
 
   std::map<std::pair<int, bool>, GroupStats> groups;

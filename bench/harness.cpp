@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "irr/validation.h"
-#include "rpki/validation.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -29,26 +27,9 @@ topogen::ScenarioConfig config_from_env() {
   return topogen::ScenarioConfig::paper_default();
 }
 
-std::vector<ihr::PrefixOriginRecord> classify_only(
-    const topogen::Scenario& scenario,
-    const std::vector<bgp::PrefixOrigin>& announcements) {
-  std::vector<ihr::PrefixOriginRecord> records;
-  records.reserve(announcements.size());
-  for (const auto& po : announcements) {
-    ihr::PrefixOriginRecord r;
-    r.prefix = po.prefix;
-    r.origin = po.origin;
-    r.rpki = scenario.vrps.validate(po.prefix, po.origin);
-    r.irr = irr::validate_route(scenario.irr, po.prefix, po.origin);
-    records.push_back(r);
-  }
-  return records;
-}
-
 Pipeline Pipeline::build() { return build(config_from_env()); }
 
-Pipeline Pipeline::build(const topogen::ScenarioConfig& config,
-                         bool with_transits) {
+Pipeline Pipeline::build(const topogen::ScenarioConfig& config) {
   // One-line stage timing on stderr (util::logging) so bench-runtime
   // regressions show up in any bench run, not only in perf_pipeline.
   using Clock = std::chrono::steady_clock;
@@ -61,15 +42,9 @@ Pipeline Pipeline::build(const topogen::ScenarioConfig& config,
   Clock::time_point t1 = Clock::now();
   sim::PropagationSim simulator = scenario.make_sim();
   Clock::time_point t2 = Clock::now();
-  ihr::IhrSnapshot snapshot;
-  if (with_transits) {
-    ihr::IhrSnapshotBuilder builder(simulator, scenario.vantage_points);
-    snapshot =
-        builder.build(scenario.announcements(), scenario.vrps, scenario.irr);
-  } else {
-    snapshot.prefix_origins =
-        classify_only(scenario, scenario.announcements());
-  }
+  ihr::IhrSnapshotBuilder builder(simulator, scenario.vantage_points);
+  ihr::IhrSnapshot snapshot =
+      builder.build(scenario.announcements(), scenario.vrps, scenario.irr);
   Clock::time_point t3 = Clock::now();
   util::log_info() << "Pipeline::build: scenario " << elapsed_ms(t0, t1)
                    << " ms, propagation-sim " << elapsed_ms(t1, t2)

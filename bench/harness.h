@@ -15,7 +15,6 @@
 #include "bgp/rib.h"
 #include "core/conformance.h"
 #include "ihr/dataset.h"
-#include "ihr/hegemony.h"
 #include "netbase/prefix_trie.h"
 #include "simulator/propagation.h"
 #include "topogen/evolution.h"
@@ -27,15 +26,9 @@ namespace manrs::benchx {
 /// Scenario selected by MANRS_SCALE (default: paper_default).
 topogen::ScenarioConfig config_from_env();
 
-/// Classify announcements against the scenario's registries without
-/// running propagation (enough for the origination-side analyses).
-std::vector<ihr::PrefixOriginRecord> classify_only(
-    const topogen::Scenario& scenario,
-    const std::vector<bgp::PrefixOrigin>& announcements);
-
 /// The full pipeline: scenario + simulator + IHR snapshot. Construction
 /// cost is dominated by propagation, so benches that only need
-/// classification should use classify_only instead.
+/// classification should call ihr::classify instead.
 struct Pipeline {
   topogen::Scenario scenario;
   sim::PropagationSim simulator;
@@ -44,8 +37,7 @@ struct Pipeline {
   std::unordered_map<uint32_t, core::PropagationStats> propagation;
 
   static Pipeline build();
-  static Pipeline build(const topogen::ScenarioConfig& config,
-                        bool with_transits = true);
+  static Pipeline build(const topogen::ScenarioConfig& config);
 };
 
 /// One day's full measurement output from the temporal snapshot engine:
@@ -88,7 +80,7 @@ struct DayEngineStats {
   size_t delta_ops = 0;      // size of the day's EcosystemDelta
   size_t reclassified = 0;   // announcements re-run through the validators
   size_t groups = 0;         // (origin, class) propagation groups today
-  size_t groups_reused = 0;  // hegemony views served from the group memo
+  size_t groups_reused = 0;  // hegemony views served by ihr::HegemonyMemo
   uint64_t cache_hits = 0;   // propagation-cache counters, this day only
   uint64_t cache_misses = 0;
   uint64_t cache_invalidated = 0;
@@ -98,9 +90,9 @@ struct DayEngineStats {
 /// folding each EcosystemDelta into live state (staged Rib / VrpStore /
 /// IrrDatabase deltas, PropagationSim::apply_delta) and recomputing the
 /// day's outputs incrementally -- only announcements whose covering
-/// ROA/IRR records changed are reclassified, and per-group hegemony views
-/// are reused whenever the group's propagation result survived the day's
-/// cache invalidation.
+/// ROA/IRR records changed are reclassified, and IhrSnapshotBuilder::build
+/// reuses a group's hegemony view (ihr::HegemonyMemo) whenever the group's
+/// propagation result survived the day's cache invalidation.
 ///
 /// Day protocol (statically checked by the series-delta typestate rule):
 /// begin_day() produces the next day's delta, which must be apply()-ed
@@ -137,34 +129,7 @@ class SnapshotSeries {
   const DayEngineStats& last_stats() const { return stats_; }
 
  private:
-  struct Classification {
-    rpki::RpkiStatus rpki = rpki::RpkiStatus::kNotFound;
-    irr::IrrStatus irr = irr::IrrStatus::kNotFound;
-  };
-
-  /// Per-(origin, class) hegemony view, pinned to the propagation result
-  /// it was derived from; reusable while the cache returns the same
-  /// result object.
-  struct GroupMemo {
-    sim::PropagationResultPtr result;
-    uint32_t visibility = 0;
-    std::vector<ihr::HegemonyScore> hegemony;
-    std::vector<bool> via_customer;
-  };
-
-  friend DayOutputs compute_day_outputs(
-      int day, const std::vector<bgp::PrefixOrigin>& announcements,
-      const sim::PropagationSim& sim,
-      const std::vector<net::Asn>& vantage_points,
-      const rpki::VrpStore& vrps, const irr::IrrRegistry& irr,
-      const core::ManrsRegistry& registry,
-      const std::unordered_map<bgp::PrefixOrigin,
-                               SnapshotSeries::Classification>* classifications,
-      std::unordered_map<uint64_t, SnapshotSeries::GroupMemo>* memo,
-      DayEngineStats* stats);
-
   uint32_t peer_of(net::Asn origin);
-  Classification classify(const bgp::PrefixOrigin& po) const;
 
   const topogen::Scenario* base_;
   topogen::EcosystemEvolution evolution_;
@@ -177,9 +142,10 @@ class SnapshotSeries {
   core::ManrsRegistry registry_;
   sim::PropagationSim sim_;
 
-  std::unordered_map<bgp::PrefixOrigin, Classification> classifications_;
+  std::unordered_map<bgp::PrefixOrigin, ihr::PrefixOriginRecord>
+      classifications_;
   net::PrefixTrie<bgp::PrefixOrigin> announcement_index_;
-  std::unordered_map<uint64_t, GroupMemo> group_memo_;
+  ihr::HegemonyMemo hegemony_memo_;
 
   uint64_t baseline_hits_ = 0;
   uint64_t baseline_misses_ = 0;

@@ -142,17 +142,10 @@ std::string git_revision() {
 std::vector<manrs::sim::Announcement> classify(
     const manrs::topogen::Scenario& scenario) {
   std::vector<manrs::sim::Announcement> out;
-  for (const auto& po : scenario.announcements()) {
-    manrs::sim::AnnouncementClass cls;
-    cls.rpki_invalid =
-        manrs::rpki::is_invalid(scenario.vrps.validate(po.prefix, po.origin));
-    cls.irr_invalid =
-        manrs::irr::validate_route(scenario.irr, po.prefix, po.origin) ==
-        manrs::irr::IrrStatus::kInvalidAsn;
-    cls.variant = (cls.rpki_invalid || cls.irr_invalid)
-                      ? manrs::sim::filter_variant(po.prefix)
-                      : 0;
-    out.push_back(manrs::sim::Announcement{po.prefix, po.origin, cls});
+  for (const manrs::ihr::PrefixOriginRecord& r : manrs::ihr::classify(
+           scenario.announcements(), scenario.vrps, scenario.irr)) {
+    out.push_back(manrs::sim::Announcement{
+        r.prefix, r.origin, manrs::ihr::announcement_class(r)});
   }
   return out;
 }

@@ -1,33 +1,21 @@
 // SnapshotSeries: the temporal snapshot engine (see harness.h).
 //
-// The incremental path and the cold-rebuild oracle both flow through
-// compute_day_outputs(), so any divergence between them is a real
-// divergence of the *inputs* (registries, propagation results) -- exactly
-// what the byte-identity digests are meant to catch.
+// The incremental path and the cold-rebuild oracle both run
+// IhrSnapshotBuilder::build -- the emit path of every snapshot and figure
+// -- so any divergence between them is a real divergence of the *inputs*
+// (classifications, registries, propagation results): exactly what the
+// byte-identity digests are meant to catch.
 
-#include <algorithm>
 #include <bit>
 #include <unordered_set>
 #include <utility>
 
 #include "harness.h"
-#include "irr/validation.h"
-#include "simulator/collector.h"
 #include "util/det_hash.h"
-#include "util/parallel.h"
 
 namespace manrs::benchx {
 
 namespace {
-
-constexpr double kHegemonyTrim = 0.1;  // IhrSnapshotBuilder's default
-
-uint64_t group_key(net::Asn origin, const sim::AnnouncementClass& cls) {
-  return (static_cast<uint64_t>(origin.value()) << 16) |
-         (static_cast<uint64_t>(cls.variant) << 2) |
-         (static_cast<uint64_t>(cls.rpki_invalid) << 1) |
-         static_cast<uint64_t>(cls.irr_invalid);
-}
 
 uint64_t fold_prefix(uint64_t h, const net::Prefix& prefix) {
   h = util::fnv1a_u64(h, prefix.address().hi());
@@ -57,141 +45,26 @@ uint64_t fold_record(uint64_t h, const ihr::TransitRecord& r) {
   return h;
 }
 
-}  // namespace
-
-/// The shared emit path: classify, group, propagate (cached), derive
-/// per-group hegemony views (through `memo` when provided), emit both IHR
-/// datasets, and reduce them to the day's series point. `classifications`
-/// short-circuits the validators for the incremental path; when null every
-/// announcement is classified fresh (the oracle path).
+/// One day: build the IHR snapshot from the day's classified
+/// `announcements` (through `memo` when given) and reduce it to the day's
+/// series point.
 DayOutputs compute_day_outputs(
     int day, const std::vector<bgp::PrefixOrigin>& announcements,
+    std::vector<ihr::PrefixOriginRecord> classified,
     const sim::PropagationSim& sim,
     const std::vector<net::Asn>& vantage_points, const rpki::VrpStore& vrps,
-    const irr::IrrRegistry& irr, const core::ManrsRegistry& registry,
-    const std::unordered_map<bgp::PrefixOrigin,
-                             SnapshotSeries::Classification>* classifications,
-    std::unordered_map<uint64_t, SnapshotSeries::GroupMemo>* memo,
-    DayEngineStats* stats) {
+    const core::ManrsRegistry& registry, ihr::HegemonyMemo* memo) {
+  const ihr::IhrSnapshotBuilder builder(sim, vantage_points);
+  const ihr::IhrSnapshot snapshot = builder.build(std::move(classified), memo);
+
   DayOutputs out;
   out.day = day;
-  out.announcements = announcements.size();
-
-  // ---- classification ---------------------------------------------------
-  struct Row {
-    bgp::PrefixOrigin po;
-    rpki::RpkiStatus rpki;
-    irr::IrrStatus irr;
-  };
-  std::vector<Row> rows;
-  rows.reserve(announcements.size());
-  std::vector<sim::Announcement> sim_announcements;
-  sim_announcements.reserve(announcements.size());
-  for (const bgp::PrefixOrigin& po : announcements) {
-    Row row;
-    row.po = po;
-    bool classified = false;
-    if (classifications) {
-      const auto it = classifications->find(po);
-      if (it != classifications->end()) {
-        row.rpki = it->second.rpki;
-        row.irr = it->second.irr;
-        classified = true;
-      }
-    }
-    if (!classified) {
-      row.rpki = vrps.validate(po.prefix, po.origin);
-      row.irr = irr::validate_route(irr, po.prefix, po.origin);
-    }
-    rows.push_back(row);
-    sim::AnnouncementClass cls;
-    cls.rpki_invalid = rpki::is_invalid(row.rpki);
-    cls.irr_invalid = row.irr == irr::IrrStatus::kInvalidAsn;
-    cls.variant = (cls.rpki_invalid || cls.irr_invalid)
-                      ? sim::filter_variant(po.prefix)
-                      : 0;
-    sim_announcements.push_back(sim::Announcement{po.prefix, po.origin, cls});
-  }
-
-  // ---- per-group propagation (cached) -----------------------------------
-  std::vector<size_t> group_of;
-  const auto groups = sim::group_announcements(sim_announcements, &group_of);
-  std::vector<sim::PropagationRequest> requests;
-  requests.reserve(groups.size());
-  for (const auto& group : groups) {
-    requests.push_back(sim::PropagationRequest{group.origin, group.cls});
-  }
-  const std::vector<sim::PropagationResultPtr> results =
-      sim.propagate_cached(requests);
-
-  // ---- hegemony views, memoized on result identity ----------------------
-  // A group's view depends only on (result, vantage set): while the
-  // propagation cache keeps returning the same result object, yesterday's
-  // extraction is today's extraction.
-  std::vector<SnapshotSeries::GroupMemo> views(groups.size());
-  std::vector<char> reused(groups.size(), 0);
-  if (memo) {
-    for (size_t g = 0; g < groups.size(); ++g) {
-      const auto it = memo->find(group_key(groups[g].origin, groups[g].cls));
-      if (it != memo->end() && it->second.result.get() == results[g].get()) {
-        views[g] = it->second;
-        reused[g] = 1;
-      }
-    }
-  }
-  util::parallel_for(groups.size(), [&](size_t g) {
-    if (reused[g]) return;
-    thread_local sim::PathArena arena;
-    const sim::PropagationResult& result = *results[g];
-    const std::vector<sim::PathView> all_views =
-        sim.extract_paths(result, vantage_points, arena);
-    std::vector<sim::PathView> paths;
-    paths.reserve(all_views.size());
-    for (const sim::PathView& path : all_views) {
-      if (!path.empty()) paths.push_back(path);
-    }
-    SnapshotSeries::GroupMemo view;
-    view.result = results[g];
-    view.visibility = static_cast<uint32_t>(paths.size());
-    view.hegemony = ihr::compute_hegemony(paths, kHegemonyTrim);
-    view.via_customer.reserve(view.hegemony.size());
-    for (const auto& score : view.hegemony) {
-      const int32_t id = sim.indexer().id_of(score.asn);
-      view.via_customer.push_back(
-          id >= 0 && result.source[static_cast<size_t>(id)] ==
-                         sim::RouteSource::kCustomer);
-    }
-    views[g] = std::move(view);
-  });
-  if (memo) {
-    std::unordered_map<uint64_t, SnapshotSeries::GroupMemo> next;
-    next.reserve(groups.size());
-    for (size_t g = 0; g < groups.size(); ++g) {
-      next.emplace(group_key(groups[g].origin, groups[g].cls), views[g]);
-    }
-    *memo = std::move(next);
-  }
-  if (stats) {
-    stats->groups = groups.size();
-    stats->groups_reused = 0;
-    for (const char r : reused) stats->groups_reused += r ? 1u : 0u;
-  }
-
-  // ---- emit + reduce ----------------------------------------------------
-  std::vector<ihr::TransitRecord> transits;
-  uint64_t po_digest = util::kFnv1aOffset;
-  uint64_t transit_digest = util::kFnv1aOffset;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const SnapshotSeries::GroupMemo& view = views[group_of[i]];
-    ihr::PrefixOriginRecord record;
-    record.prefix = row.po.prefix;
-    record.origin = row.po.origin;
-    record.rpki = row.rpki;
-    record.irr = row.irr;
-    record.visibility = view.visibility;
-    po_digest = fold_record(po_digest, record);
-    switch (core::classify_conformance(row.rpki, row.irr)) {
+  out.announcements = snapshot.prefix_origins.size();
+  out.transit_records = snapshot.transits.size();
+  out.prefix_origin_digest = util::kFnv1aOffset;
+  for (const ihr::PrefixOriginRecord& record : snapshot.prefix_origins) {
+    out.prefix_origin_digest = fold_record(out.prefix_origin_digest, record);
+    switch (core::classify_conformance(record.rpki, record.irr)) {
       case core::ConformanceClass::kConformant:
         ++out.conformant;
         break;
@@ -201,23 +74,11 @@ DayOutputs compute_day_outputs(
       case core::ConformanceClass::kUnregistered:
         break;
     }
-    for (size_t t = 0; t < view.hegemony.size(); ++t) {
-      if (view.hegemony[t].asn == row.po.origin) continue;  // trivial transit
-      ihr::TransitRecord transit;
-      transit.prefix = row.po.prefix;
-      transit.origin = row.po.origin;
-      transit.transit = view.hegemony[t].asn;
-      transit.hegemony = view.hegemony[t].score;
-      transit.via_customer = view.via_customer[t];
-      transit.rpki = row.rpki;
-      transit.irr = row.irr;
-      transit_digest = fold_record(transit_digest, transit);
-      transits.push_back(std::move(transit));
-    }
   }
-  out.transit_records = transits.size();
-  out.prefix_origin_digest = po_digest;
-  out.transit_digest = transit_digest;
+  out.transit_digest = util::kFnv1aOffset;
+  for (const ihr::TransitRecord& transit : snapshot.transits) {
+    out.transit_digest = fold_record(out.transit_digest, transit);
+  }
 
   // ---- series points ----------------------------------------------------
   out.participants = registry.participant_count();
@@ -229,7 +90,7 @@ DayOutputs compute_day_outputs(
   out.rsat_non_manrs = saturation.rsat_non_manrs();
 
   const std::vector<core::PreferenceScore> preferences =
-      core::compute_preference_scores(transits, registry);
+      core::compute_preference_scores(snapshot.transits, registry);
   uint64_t pref_digest = util::kFnv1aOffset;
   double valid_sum = 0.0;
   double other_sum = 0.0;
@@ -257,6 +118,8 @@ DayOutputs compute_day_outputs(
   return out;
 }
 
+}  // namespace
+
 SnapshotSeries::SnapshotSeries(const topogen::Scenario& base,
                                topogen::EvolutionConfig config)
     : base_(&base),
@@ -274,7 +137,7 @@ SnapshotSeries::SnapshotSeries(const topogen::Scenario& base,
   }
   rib_.finalize();
   for (const bgp::PrefixOrigin& po : rib_.prefix_origins()) {
-    classifications_.emplace(po, classify(po));
+    classifications_.emplace(po, ihr::classify(po, vrps_, irr_));
     announcement_index_.insert(po.prefix, po);
   }
 }
@@ -285,14 +148,6 @@ uint32_t SnapshotSeries::peer_of(net::Asn origin) {
   const uint32_t index = rib_.add_peer(origin);
   origin_peer_.emplace(origin.value(), index);
   return index;
-}
-
-SnapshotSeries::Classification SnapshotSeries::classify(
-    const bgp::PrefixOrigin& po) const {
-  Classification cls;
-  cls.rpki = vrps_.validate(po.prefix, po.origin);
-  cls.irr = irr::validate_route(irr_, po.prefix, po.origin);
-  return cls;
 }
 
 topogen::EcosystemDelta SnapshotSeries::begin_day() {
@@ -365,13 +220,13 @@ void SnapshotSeries::apply(const topogen::EcosystemDelta& delta) {
   for (const bgp::PrefixOrigin& po : dirty) {
     const auto it = classifications_.find(po);
     if (it == classifications_.end()) continue;
-    it->second = classify(po);
+    it->second = ihr::classify(po, vrps_, irr_);
     ++stats_.reclassified;
   }
   for (const bgp::PrefixOrigin& po : delta.announce) {
     auto [it, inserted] = classifications_.try_emplace(po);
     if (inserted) {
-      it->second = classify(po);
+      it->second = ihr::classify(po, vrps_, irr_);
       announcement_index_.insert(po.prefix, po);
       ++stats_.reclassified;
     }
@@ -393,9 +248,17 @@ void SnapshotSeries::apply(const topogen::EcosystemDelta& delta) {
 }
 
 const DayOutputs& SnapshotSeries::recompute() {
-  outputs_ = compute_day_outputs(day_, rib_.prefix_origins(), sim_,
-                                 base_->vantage_points, vrps_, irr_, registry_,
-                                 &classifications_, &group_memo_, &stats_);
+  const std::vector<bgp::PrefixOrigin> announcements = rib_.prefix_origins();
+  std::vector<ihr::PrefixOriginRecord> classified;
+  classified.reserve(announcements.size());
+  for (const bgp::PrefixOrigin& po : announcements) {
+    classified.push_back(classifications_.at(po));
+  }
+  outputs_ = compute_day_outputs(day_, announcements, std::move(classified),
+                                 sim_, base_->vantage_points, vrps_, registry_,
+                                 &hegemony_memo_);
+  stats_.groups = hegemony_memo_.groups();
+  stats_.groups_reused = hegemony_memo_.reused();
   const sim::PropagationCacheStats cache = sim_.cache_stats();
   stats_.cache_hits = cache.hits - baseline_hits_;
   stats_.cache_misses = cache.misses - baseline_misses_;
@@ -431,10 +294,11 @@ DayOutputs SnapshotSeries::cold_rebuild(int k) const {
        evolution_.policy_changes_through(k)) {
     cold.set_policy(change.asn, change.policy);
   }
-  return compute_day_outputs(k, rib.prefix_origins(), cold,
-                             base_->vantage_points, vrps, irr, registry,
-                             /*classifications=*/nullptr, /*memo=*/nullptr,
-                             /*stats=*/nullptr);
+  const std::vector<bgp::PrefixOrigin> announcements = rib.prefix_origins();
+  return compute_day_outputs(k, announcements,
+                             ihr::classify(announcements, vrps, irr), cold,
+                             base_->vantage_points, vrps, registry,
+                             /*memo=*/nullptr);
 }
 
 }  // namespace manrs::benchx

@@ -13,7 +13,8 @@ int main() {
                       "Table 1 (case-study non-conformant prefix origins)");
   topogen::Scenario scenario =
       topogen::build_scenario(benchx::config_from_env());
-  auto records = benchx::classify_only(scenario, scenario.announcements());
+  auto records =
+      ihr::classify(scenario.announcements(), scenario.vrps, scenario.irr);
 
   benchx::print_section("Table 1 (measured)");
   std::printf("%-6s %12s %12s %10s %14s %12s %10s %8s\n", "org",

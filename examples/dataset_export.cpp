@@ -54,20 +54,11 @@ int main(int argc, char** argv) {
   // Collector RIB -> MRT.
   sim::RouteCollector collector(simulator, scenario.vantage_points,
                                 "route-views.sim");
+  // Classify so filtering behaves as in the real system.
   std::vector<sim::Announcement> announcements;
-  {
-    auto records = scenario.announcements();
-    ihr::IhrSnapshotBuilder builder(simulator, scenario.vantage_points);
-    // Classify so filtering behaves as in the real system.
-    for (const auto& po : records) {
-      sim::AnnouncementClass cls;
-      auto rpki = scenario.vrps.validate(po.prefix, po.origin);
-      auto irrs = irr::validate_route(scenario.irr, po.prefix, po.origin);
-      cls.rpki_invalid = rpki::is_invalid(rpki);
-      cls.irr_invalid = irrs == irr::IrrStatus::kInvalidAsn;
-      cls.variant = sim::filter_variant(po.prefix);
-      announcements.push_back({po.prefix, po.origin, cls});
-    }
+  for (const ihr::PrefixOriginRecord& r :
+       ihr::classify(scenario.announcements(), scenario.vrps, scenario.irr)) {
+    announcements.push_back({r.prefix, r.origin, ihr::announcement_class(r)});
   }
   bgp::Rib rib = collector.collect(announcements);
   {

@@ -1,5 +1,6 @@
 #include "ihr/dataset.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -26,7 +27,48 @@ irr::IrrStatus parse_irr_status(std::string_view s) {
   return irr::IrrStatus::kNotFound;
 }
 
+/// Memo key of a propagation group: origin, then the class bits.
+uint64_t memo_key(const sim::AnnouncementGroup& group) {
+  return (static_cast<uint64_t>(group.origin.value()) << 16) |
+         (static_cast<uint64_t>(group.cls.variant) << 2) |
+         (static_cast<uint64_t>(group.cls.rpki_invalid) << 1) |
+         static_cast<uint64_t>(group.cls.irr_invalid);
+}
+
 }  // namespace
+
+PrefixOriginRecord classify(const bgp::PrefixOrigin& announcement,
+                            const rpki::VrpStore& vrps,
+                            const irr::IrrRegistry& irr_registry) {
+  PrefixOriginRecord record;
+  record.prefix = announcement.prefix;
+  record.origin = announcement.origin;
+  record.rpki = vrps.validate(announcement.prefix, announcement.origin);
+  record.irr = irr::validate_route(irr_registry, announcement.prefix,
+                                   announcement.origin);
+  return record;
+}
+
+std::vector<PrefixOriginRecord> classify(
+    const std::vector<bgp::PrefixOrigin>& announcements,
+    const rpki::VrpStore& vrps, const irr::IrrRegistry& irr_registry) {
+  std::vector<PrefixOriginRecord> records;
+  records.reserve(announcements.size());
+  for (const bgp::PrefixOrigin& po : announcements) {
+    records.push_back(classify(po, vrps, irr_registry));
+  }
+  return records;
+}
+
+sim::AnnouncementClass announcement_class(const PrefixOriginRecord& record) {
+  sim::AnnouncementClass cls;
+  cls.rpki_invalid = rpki::is_invalid(record.rpki);
+  cls.irr_invalid = record.irr == irr::IrrStatus::kInvalidAsn;
+  if (cls.rpki_invalid || cls.irr_invalid) {
+    cls.variant = sim::filter_variant(record.prefix);
+  }
+  return cls;
+}
 
 IhrSnapshotBuilder::IhrSnapshotBuilder(const sim::PropagationSim& sim,
                                        std::vector<net::Asn> vantage_points,
@@ -36,39 +78,22 @@ IhrSnapshotBuilder::IhrSnapshotBuilder(const sim::PropagationSim& sim,
 IhrSnapshot IhrSnapshotBuilder::build(
     const std::vector<bgp::PrefixOrigin>& announcements,
     const rpki::VrpStore& vrps, const irr::IrrRegistry& irr_registry) const {
-  IhrSnapshot snapshot;
+  return build(classify(announcements, vrps, irr_registry));
+}
 
-  // Classify every announcement with the real validators, then group by
-  // (origin, droppability class): groups propagate identically.
-  struct Classified {
-    bgp::PrefixOrigin po;
-    rpki::RpkiStatus rpki;
-    irr::IrrStatus irr;
-  };
-  std::vector<sim::Announcement> sim_announcements;
-  sim_announcements.reserve(announcements.size());
-  std::vector<Classified> rows;
-  rows.reserve(announcements.size());
-  for (const auto& po : announcements) {
-    Classified c;
-    c.po = po;
-    c.rpki = vrps.validate(po.prefix, po.origin);
-    c.irr = irr::validate_route(irr_registry, po.prefix, po.origin);
-    rows.push_back(c);
-    sim::AnnouncementClass cls;
-    cls.rpki_invalid = rpki::is_invalid(c.rpki);
-    cls.irr_invalid = c.irr == irr::IrrStatus::kInvalidAsn;
-    cls.variant = (cls.rpki_invalid || cls.irr_invalid)
-                      ? sim::filter_variant(po.prefix)
-                      : 0;
-    sim_announcements.push_back(sim::Announcement{po.prefix, po.origin, cls});
+IhrSnapshot IhrSnapshotBuilder::build(
+    std::vector<PrefixOriginRecord> classified, HegemonyMemo* memo) const {
+  // Group by (origin, droppability class): groups propagate identically.
+  // group_of[i] is record i's index into the group (and slot) vectors --
+  // no string keys, no hash lookups on the emit path.
+  std::vector<sim::Announcement> announcements;
+  announcements.reserve(classified.size());
+  for (const PrefixOriginRecord& record : classified) {
+    announcements.push_back(sim::Announcement{record.prefix, record.origin,
+                                              announcement_class(record)});
   }
-
-  // Per-group propagation, shared across all prefixes in the group.
-  // group_of[i] is announcement i's index into the group (and slot)
-  // vectors -- no string keys, no hash lookups on the emit path.
   std::vector<size_t> group_of;
-  auto groups = sim::group_announcements(sim_announcements, &group_of);
+  const auto groups = sim::group_announcements(announcements, &group_of);
   // One batched resolve for every group. When the same simulator already
   // served RouteCollector, the collector's propagations are all cache
   // hits here; fresh misses run through the lane engine batch_width()
@@ -81,67 +106,82 @@ IhrSnapshot IhrSnapshotBuilder::build(
   const std::vector<sim::PropagationResultPtr> results =
       sim_.propagate_cached(requests);
 
-  struct GroupView {
-    std::vector<HegemonyScore> hegemony;      // transit scores
-    std::vector<bool> transit_via_customer;   // aligned with hegemony
-    uint32_t visibility = 0;
-  };
+  // A view the memo took from this very result object is today's view.
+  std::vector<HegemonyMemo::View> views(groups.size());
+  std::vector<char> reused(groups.size(), 0);
+  if (memo) {
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const auto it = memo->entries_.find(memo_key(groups[g]));
+      if (it != memo->entries_.end() &&
+          it->second.result.lock().get() == results[g].get()) {
+        views[g] = std::move(it->second.view);
+        reused[g] = 1;
+      }
+    }
+  }
+
   // Each group's hegemony estimate depends only on const simulator state
   // and its result slot: fan the groups out and fill index-addressed
   // slots (determinism contract; see docs/performance.md). Per-vantage
   // paths are arena views scoped to this group's iteration -- each worker
   // thread reuses one arena, so vantages sharing a customer-cone suffix
   // share its hops.
-  std::vector<GroupView> group_views(groups.size());
   util::parallel_for(groups.size(), [&](size_t g) {
+    if (reused[g]) return;
     thread_local sim::PathArena arena;
     const sim::PropagationResult& result = *results[g];
-    const std::vector<sim::PathView> views =
+    const std::vector<sim::PathView> all_views =
         sim_.extract_paths(result, vantage_points_, arena);
     std::vector<sim::PathView> paths;  // one per vantage with a route
-    paths.reserve(views.size());
-    for (const sim::PathView& path : views) {
+    paths.reserve(all_views.size());
+    for (const sim::PathView& path : all_views) {
       if (!path.empty()) paths.push_back(path);
     }
-    GroupView view;
+    HegemonyMemo::View view;
     view.visibility = static_cast<uint32_t>(paths.size());
     view.hegemony = compute_hegemony(paths, trim_);
-    view.transit_via_customer.reserve(view.hegemony.size());
+    view.via_customer.reserve(view.hegemony.size());
     for (const auto& score : view.hegemony) {
       int32_t id = sim_.indexer().id_of(score.asn);
-      bool via_customer =
+      view.via_customer.push_back(
           id >= 0 && result.source[static_cast<size_t>(id)] ==
-                         sim::RouteSource::kCustomer;
-      view.transit_via_customer.push_back(via_customer);
+                         sim::RouteSource::kCustomer);
     }
-    group_views[g] = std::move(view);
+    views[g] = std::move(view);
   });
 
   // Emit records.
-  snapshot.prefix_origins.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Classified& c = rows[i];
-    const GroupView& view = group_views[group_of[i]];
-    PrefixOriginRecord record;
-    record.prefix = c.po.prefix;
-    record.origin = c.po.origin;
-    record.rpki = c.rpki;
-    record.irr = c.irr;
+  IhrSnapshot snapshot;
+  for (size_t i = 0; i < classified.size(); ++i) {
+    PrefixOriginRecord& record = classified[i];
+    const HegemonyMemo::View& view = views[group_of[i]];
     record.visibility = view.visibility;
-    snapshot.prefix_origins.push_back(record);
-
     for (size_t t = 0; t < view.hegemony.size(); ++t) {
-      if (view.hegemony[t].asn == c.po.origin) continue;  // trivial transit
+      if (view.hegemony[t].asn == record.origin) continue;  // trivial transit
       TransitRecord transit;
-      transit.prefix = c.po.prefix;
-      transit.origin = c.po.origin;
+      transit.prefix = record.prefix;
+      transit.origin = record.origin;
       transit.transit = view.hegemony[t].asn;
       transit.hegemony = view.hegemony[t].score;
-      transit.via_customer = view.transit_via_customer[t];
-      transit.rpki = c.rpki;
-      transit.irr = c.irr;
+      transit.via_customer = view.via_customer[t];
+      transit.rpki = record.rpki;
+      transit.irr = record.irr;
       snapshot.transits.push_back(transit);
     }
+  }
+  snapshot.prefix_origins = std::move(classified);
+
+  if (memo) {
+    memo->entries_.clear();
+    memo->entries_.reserve(groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+      memo->entries_.emplace(
+          memo_key(groups[g]),
+          HegemonyMemo::Entry{results[g], std::move(views[g])});
+    }
+    memo->groups_ = groups.size();
+    memo->reused_ = static_cast<size_t>(
+        std::count(reused.begin(), reused.end(), char{1}));
   }
   return snapshot;
 }

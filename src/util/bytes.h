@@ -12,7 +12,7 @@
 //     host-endian accessor on purpose: wire formats name their endianness.
 //   * No pointer arithmetic or reinterpret_cast in client code. The only
 //     sanctioned byte<->char aliasing in the codebase lives in bytes.cpp
-//     (the iostream bridge below); tools/lint_wire.py enforces this.
+//     (the iostream bridge below); manrs_analyze enforces this.
 //
 // See docs/static-analysis.md for the full API contract and the list of
 // banned patterns this layer replaces.

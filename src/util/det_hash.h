@@ -9,7 +9,7 @@
 //
 // This header is the one sanctioned source of output-facing hashes:
 // plain FNV-1a over explicitly chosen wire bytes, identical everywhere.
-// tools/lint_wire.py (std-hash rule) bans `std::hash<` in src/ outside
+// manrs_analyze (std-hash rule) bans `std::hash<` in src/ outside
 // this header and the allowlisted container-hasher specializations.
 #pragma once
 

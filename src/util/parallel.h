@@ -30,7 +30,7 @@
 // Nested parallel_for calls (an item that itself fans out) also run
 // serially inline, which makes nesting safe instead of a deadlock.
 //
-// Ownership rule (enforced by tools/lint_wire.py): no raw std::thread /
+// Ownership rule (enforced by manrs_analyze): no raw std::thread /
 // std::jthread / std::async outside src/util/parallel.*. All concurrency
 // flows through this layer so TSan coverage of tests/test_parallel.cpp
 // covers the whole pipeline.

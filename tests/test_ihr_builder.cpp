@@ -2,6 +2,8 @@
 // expected record can be reasoned out exactly.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "ihr/dataset.h"
 #include "irr/database.h"
 #include "simulator/propagation.h"
@@ -73,6 +75,36 @@ TEST(IhrBuilder, ClassifiesAndBuildsTransits) {
   // Statuses are carried onto the transit records (Formulas 4-6 need
   // them).
   EXPECT_EQ(snapshot.transits[1].irr, irr::IrrStatus::kInvalidAsn);
+}
+
+TEST(IhrBuilder, MemoServesViewsOnlyWhileTheCacheKeepsTheResult) {
+  Fixture f;
+  sim::PropagationSim simulator(f.graph);
+  IhrSnapshotBuilder builder(simulator, {Asn(10), Asn(11)}, /*trim=*/0.0);
+  const std::vector<PrefixOriginRecord> records = classify(
+      {{Prefix::must_parse("10.0.0.0/16"), Asn(30)},   // RPKI Valid
+       {Prefix::must_parse("10.1.0.0/16"), Asn(30)},   // IRR Invalid
+       {Prefix::must_parse("10.2.0.0/16"), Asn(30)}},  // both NotFound
+      f.vrps, f.irr);
+  const IhrSnapshot plain = builder.build(records);
+
+  HegemonyMemo memo;
+  EXPECT_EQ(builder.build(records, &memo), plain);
+  EXPECT_EQ(memo.groups(), 2u);  // AS30 droppable and not
+  EXPECT_EQ(memo.reused(), 0u);
+  EXPECT_EQ(builder.build(records, &memo), plain);
+  EXPECT_EQ(memo.reused(), 2u);
+
+  // The memo does not keep a result alive: once the cache drops it, it is
+  // freed, and the next build serves no view from the memo.
+  const std::weak_ptr<const sim::PropagationResult> result =
+      simulator.propagate_cached(Asn(30), announcement_class(records[0]));
+  EXPECT_FALSE(result.expired());
+  simulator.clear_cache();
+  EXPECT_TRUE(result.expired());
+  EXPECT_EQ(builder.build(records, &memo), plain);
+  EXPECT_EQ(memo.groups(), 2u);
+  EXPECT_EQ(memo.reused(), 0u);
 }
 
 TEST(IhrBuilder, FilteredAnnouncementsLoseVisibility) {

@@ -10,6 +10,7 @@
 #include "astopo/prefix2as.h"
 #include "core/conformance.h"
 #include "core/report.h"
+#include "harness.h"
 #include "ihr/dataset.h"
 #include "mrt/table_dump.h"
 #include "simulator/collector.h"
@@ -20,28 +21,11 @@
 namespace manrs {
 namespace {
 
+using benchx::Pipeline;
 using net::Asn;
 
-struct Pipeline {
-  topogen::Scenario scenario;
-  sim::PropagationSim simulator;
-  ihr::IhrSnapshot snapshot;
-  std::unordered_map<uint32_t, core::OriginationStats> origination;
-  std::unordered_map<uint32_t, core::PropagationStats> propagation;
-
-  explicit Pipeline(topogen::Scenario s)
-      : scenario(std::move(s)), simulator(scenario.make_sim()) {
-    ihr::IhrSnapshotBuilder builder(simulator, scenario.vantage_points);
-    snapshot = builder.build(scenario.announcements(), scenario.vrps,
-                             scenario.irr);
-    origination = core::compute_origination_stats(snapshot.prefix_origins);
-    propagation = core::compute_propagation_stats(snapshot.transits);
-  }
-};
-
 const Pipeline& pipeline() {
-  static const Pipeline p(
-      topogen::build_scenario(topogen::ScenarioConfig::tiny()));
+  static const Pipeline p = Pipeline::build(topogen::ScenarioConfig::tiny());
   return p;
 }
 

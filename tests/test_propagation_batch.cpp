@@ -410,17 +410,10 @@ TEST(PropagationBatchPaths, BrokenChainYieldsEmptyView) {
 std::vector<sim::Announcement> classified_announcements(
     const topogen::Scenario& scenario) {
   std::vector<sim::Announcement> out;
-  for (const auto& po : scenario.announcements()) {
-    AnnouncementClass cls;
-    cls.rpki_invalid =
-        rpki::is_invalid(scenario.vrps.validate(po.prefix, po.origin));
-    cls.irr_invalid =
-        irr::validate_route(scenario.irr, po.prefix, po.origin) ==
-        irr::IrrStatus::kInvalidAsn;
-    cls.variant = (cls.rpki_invalid || cls.irr_invalid)
-                      ? sim::filter_variant(po.prefix)
-                      : 0;
-    out.push_back(sim::Announcement{po.prefix, po.origin, cls});
+  for (const ihr::PrefixOriginRecord& r :
+       ihr::classify(scenario.announcements(), scenario.vrps, scenario.irr)) {
+    out.push_back(
+        sim::Announcement{r.prefix, r.origin, ihr::announcement_class(r)});
   }
   return out;
 }

@@ -200,6 +200,39 @@ TEST(SnapshotSeries, IncrementalMatchesColdRebuildFineGrain) {
   expect_incremental_matches_cold(/*threads=*/4, /*grain=*/16, /*days=*/6);
 }
 
+// Recorded outputs of days 0-3 at tiny scale. The oracle above compares
+// two runs of the same day computation, so a fault they share passes it;
+// these literals do not move with the code.
+//   {day, participants, member_ases, rsat_manrs, rsat_non_manrs,
+//    preference_valid_mean, preference_other_mean, announcements,
+//    conformant, unconformant, transit_records,
+//    prefix_origin_digest, transit_digest, preference_digest}
+const DayOutputs kPinnedDays[] = {
+    {0, 55, 71, 0x1.3952602120af2p+6, 0x1.9740be6748a6cp+4,
+     0x1.1f0f51490a13dp-4, 0x1.118c017a4637p-4, 2709, 2515, 140, 5445,
+     0x655cd1457c62c064ull, 0x2c5862f7f02f4ab2ull, 0xdcf543f566f28b1full},
+    {1, 58, 74, 0x1.38697651e004cp+6, 0x1.94a9747f7867ap+4,
+     0x1.21a26202321c1p-4, 0x1.11a37c1faebf9p-4, 2711, 2515, 139, 5453,
+     0x046985b1195e2112ull, 0x9ff4057d6b5229fcull, 0xf0fe7861340e22b4ull},
+    {2, 58, 74, 0x1.3864487e1042bp+6, 0x1.94770c4e25ac8p+4,
+     0x1.259330efa40dbp-4, 0x1.0f871ae5dcde1p-4, 2712, 2513, 140, 5456,
+     0x6562e05dd156db8cull, 0xd294dc7639b42584ull, 0x023fadb3e3494cd3ull},
+    {3, 58, 74, 0x1.38659401b6f33p+6, 0x1.9495f91e92e6fp+4,
+     0x1.2657c5ca27294p-4, 0x1.0b2ef955fbccfp-4, 2716, 2513, 140, 5465,
+     0x08a37bef74cb4177ull, 0x2b40b82b9bc108f4ull, 0x5175581273cf99c5ull},
+};
+
+TEST(SnapshotSeries, PinnedDaysMatchRecordedOutputs) {
+  SnapshotSeries series(tiny_scenario());
+  EXPECT_EQ(series.recompute(), kPinnedDays[0]) << "day 0";
+  for (int d = 1; d <= 3; ++d) {
+    EXPECT_EQ(series.advance(), kPinnedDays[d]) << "day " << d;
+  }
+  for (int d = 0; d <= 3; ++d) {
+    EXPECT_EQ(series.cold_rebuild(d), kPinnedDays[d]) << "cold day " << d;
+  }
+}
+
 TEST(SnapshotSeries, StepwiseApiMatchesAdvance) {
   const Scenario& base = tiny_scenario();
   SnapshotSeries one_shot(base);

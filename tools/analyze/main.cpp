@@ -8,8 +8,7 @@
 // Paths (files or directories) are resolved against the repo root. With
 // no paths, scans src tools bench tests (whichever exist).
 //
-// Exit code contract (tools/lint_wire.py execs this binary, so the
-// shim inherits it): 0 = clean scan, 1 = findings (or, under
+// Exit code contract: 0 = clean scan, 1 = findings (or, under
 // --fail-on-new, findings not present in the baseline), 2 = internal
 // error: bad usage, unreadable path, malformed protocols.txt, or any
 // exception escaping the analysis.

@@ -31,9 +31,7 @@
 #      unused-waiver must fire on the fixture corpus), verifies the
 #      incremental cache (warm re-scan byte-identical to the cold
 #      scan, timings + lattice version appended to
-#      BENCH_analyze.json), runs the baseline diff gate, and
-#      exercises the legacy tools/lint_wire.py entry point as a shim
-#      over the same binary
+#      BENCH_analyze.json), and runs the baseline diff gate
 #
 # Exit 0 iff every stage that could run passed. See
 # docs/static-analysis.md for the policy behind each stage.
@@ -225,8 +223,5 @@ step "analyze: baseline gate (no new findings vs out/analyze.sarif)"
 # point --baseline at a committed out/analyze-baseline.sarif instead to
 # gate PRs on net-new findings only.
 "$analyze_bin" --root "$repo_root" --baseline out/analyze.sarif --fail-on-new
-
-step "analyze: lint_wire.py shim contract"
-MANRS_ANALYZE="$analyze_bin" python3 tools/lint_wire.py
 
 step "all checks passed"
