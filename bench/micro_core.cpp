@@ -256,7 +256,7 @@ void BM_Propagation(benchmark::State& state) {
   for (auto _ : state) {
     auto result = simulator.propagate(origins[oi++ & 63],
                                       sim::AnnouncementClass{});
-    benchmark::DoNotOptimize(result.next_hop.data());
+    benchmark::DoNotOptimize(result.words.data());
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -347,7 +347,7 @@ int main() {
   sim::PropagationResult single;
   double single_ms = time_ms(
       [&] { single = simulator.propagate(groups[big].origin, groups[big].cls); });
-  if (single.source.size() != simulator.indexer().size()) {
+  if (single.size() != simulator.indexer().size()) {
     std::fprintf(stderr, "perf_pipeline: propagation_single bad result\n");
     return 1;
   }
@@ -376,7 +376,7 @@ int main() {
       [&] { batched_parallel = simulator.propagate_cached(requests); });
   for (size_t r = 0; r < requests.size(); ++r) {
     if (batched_serial[r] == nullptr || batched_parallel[r] == nullptr ||
-        batched_serial[r]->source != batched_parallel[r]->source) {
+        *batched_serial[r] != *batched_parallel[r]) {
       std::fprintf(stderr, "perf_pipeline: propagation_batched mismatch\n");
       return 1;
     }

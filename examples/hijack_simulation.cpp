@@ -31,11 +31,12 @@ double hijack_capture_share(const sim::PropagationSim& simulator,
       simulator.propagate(victim, sim::AnnouncementClass{});
   auto attacker_routes = simulator.propagate(attacker, attacker_class);
   size_t attacker_wins = 0, total = 0;
-  for (size_t id = 0; id < simulator.indexer().size(); ++id) {
-    net::Asn asn = simulator.indexer().asn_of(static_cast<int32_t>(id));
+  const int32_t n = static_cast<int32_t>(simulator.indexer().size());
+  for (int32_t id = 0; id < n; ++id) {
+    net::Asn asn = simulator.indexer().asn_of(id);
     if (asn == victim || asn == attacker) continue;
-    bool has_victim = victim_routes.reached(static_cast<int32_t>(id));
-    bool has_attacker = attacker_routes.reached(static_cast<int32_t>(id));
+    bool has_victim = victim_routes.reached(id);
+    bool has_attacker = attacker_routes.reached(id);
     if (!has_victim && !has_attacker) continue;
     ++total;
     if (!has_attacker) continue;
@@ -44,11 +45,11 @@ double hijack_capture_share(const sim::PropagationSim& simulator,
       continue;
     }
     // Both available: BGP preference = route source class, then distance.
-    auto v_src = victim_routes.source[id];
-    auto a_src = attacker_routes.source[id];
+    auto v_src = victim_routes.source(id);
+    auto a_src = attacker_routes.source(id);
     if (a_src > v_src ||
         (a_src == v_src &&
-         attacker_routes.distance[id] < victim_routes.distance[id])) {
+         attacker_routes.distance(id) < victim_routes.distance(id))) {
       ++attacker_wins;
     }
   }

@@ -144,8 +144,7 @@ IhrSnapshot IhrSnapshotBuilder::build(
     for (const auto& score : view.hegemony) {
       int32_t id = sim_.indexer().id_of(score.asn);
       view.via_customer.push_back(
-          id >= 0 && result.source[static_cast<size_t>(id)] ==
-                         sim::RouteSource::kCustomer);
+          id >= 0 && result.source(id) == sim::RouteSource::kCustomer);
     }
     views[g] = std::move(view);
   });

@@ -187,15 +187,16 @@ size_t IrrRegistry::mirror(const IrrDatabase& source,
 std::vector<RouteObject> IrrRegistry::covering_routes(
     const net::Prefix& query) const {
   std::vector<RouteObject> out;
-  std::unordered_set<std::string> seen;  // "prefix origin" de-dup keys
   for (const IrrDatabase* db : databases()) {
-    for (auto& route : db->covering_routes(query)) {
-      std::string key =
-          route.prefix.to_string() + " " + route.origin.to_string();
-      if (seen.insert(std::move(key)).second) {
-        out.push_back(std::move(route));
-      }
-    }
+    db->for_each_covering(query, [&](const RouteObject& route) {
+      // A query has at most a few dozen covering objects: a linear scan
+      // over the kept ones is the whole (prefix, origin) de-dup.
+      const bool seen =
+          std::any_of(out.begin(), out.end(), [&](const RouteObject& kept) {
+            return kept.prefix == route.prefix && kept.origin == route.origin;
+          });
+      if (!seen) out.push_back(route);
+    });
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const RouteObject& a, const RouteObject& b) {

@@ -59,6 +59,14 @@ class IrrDatabase {
   /// Route objects whose prefix covers `query` (least specific first).
   std::vector<RouteObject> covering_routes(const net::Prefix& query) const;
 
+  /// Invoke `fn(route)` for every route object covering `query`, least
+  /// specific first, without copying it.
+  template <typename Fn>
+  void for_each_covering(const net::Prefix& query, Fn&& fn) const {
+    routes_.for_each_covering(
+        query, [&](unsigned, const RouteObject& route) { fn(route); });
+  }
+
   /// Route objects registered exactly at `prefix`.
   const std::vector<RouteObject>& routes_at(const net::Prefix& prefix) const;
 
@@ -123,6 +131,14 @@ class IrrRegistry {
   /// All route objects covering `query`, de-duplicated by (prefix, origin)
   /// with authoritative sources winning. Least specific first.
   std::vector<RouteObject> covering_routes(const net::Prefix& query) const;
+
+  /// Invoke `fn(route)` for every route object of every database that
+  /// covers `query`, without copying and without de-duplication: a
+  /// mirrored (prefix, origin) is visited once per database holding it.
+  template <typename Fn>
+  void for_each_covering(const net::Prefix& query, Fn&& fn) const {
+    for (const auto& db : databases_) db->for_each_covering(query, fn);
+  }
 
   /// True iff any database has a route object covering `query`.
   bool covered(const net::Prefix& query) const;

@@ -17,13 +17,16 @@ std::string_view to_string(IrrStatus s) {
 }
 
 namespace {
+// Folds the three flags over every covering object in place. The flags
+// are ORs, so a (prefix, origin) mirrored into several databases cannot
+// change the verdict and needs no de-duplication.
 template <typename Source>
 IrrStatus classify(const Source& source, const net::Prefix& route,
                    net::Asn origin) {
   bool any_covering = false;
   bool asn_match = false;
   bool valid = false;
-  for (const auto& obj : source.covering_routes(route)) {
+  source.for_each_covering(route, [&](const RouteObject& obj) {
     any_covering = true;
     if (obj.origin == origin) {
       asn_match = true;
@@ -31,7 +34,7 @@ IrrStatus classify(const Source& source, const net::Prefix& route,
       // length match is Valid.
       if (obj.prefix.length() == route.length()) valid = true;
     }
-  }
+  });
   if (!any_covering) return IrrStatus::kNotFound;
   if (valid) return IrrStatus::kValid;
   if (asn_match) return IrrStatus::kInvalidLength;

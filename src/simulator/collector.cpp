@@ -53,37 +53,56 @@ std::vector<AnnouncementGroup> group_announcements(
 
 std::vector<std::vector<bgp::RibEntry>> RouteCollector::collect_group_entries(
     const std::vector<AnnouncementGroup>& groups) const {
-  // One batched resolve for every group: cache misses run through the
-  // lane engine batch_width() origins per sweep instead of one BFS per
-  // group (slot g answers groups[g]).
-  std::vector<PropagationRequest> requests;
-  requests.reserve(groups.size());
-  for (const AnnouncementGroup& group : groups) {
-    requests.push_back(PropagationRequest{group.origin, group.cls});
-  }
-  const std::vector<PropagationResultPtr> results =
-      sim_.propagate_cached(requests);
-
-  // Path extraction fans out per group; each worker thread reuses one
-  // arena, so vantages sharing a customer-cone suffix share its hops.
+  // Groups resolve in chunks of whole lane sweeps (kSweepsPerWorker per
+  // pool worker): each chunk is one batched propagate_cached call, its
+  // paths are extracted, and its results are released before the next
+  // chunk resolves, so with the cache off only one chunk's per-AS results
+  // are alive at a time. A chunk ends between origins -- groups of one
+  // origin that share a cache key stay in one batch -- so the hit/miss
+  // counts are those of a single batch over every group.
+  constexpr size_t kSweepsPerWorker = 4;
+  const size_t chunk =
+      batch_width() * kSweepsPerWorker * std::max<size_t>(1, util::thread_count());
   std::vector<std::vector<bgp::RibEntry>> group_entries(groups.size());
-  util::parallel_for(groups.size(), [&](size_t g) {
-    thread_local PathArena arena;
-    const std::vector<PathView> views =
-        sim_.extract_paths(*results[g], peer_ases_, arena);
-    // Each peer's path is shared by every prefix in the group; peers with
-    // no route are dropped here so the per-prefix merge never re-walks
-    // them.
-    std::vector<bgp::RibEntry> entries;
-    entries.reserve(peer_ases_.size());
-    for (size_t i = 0; i < peer_ases_.size(); ++i) {
-      if (!views[i].empty()) {
-        entries.push_back(
-            bgp::RibEntry{static_cast<uint32_t>(i), views[i].to_path()});
-      }
+  std::vector<PropagationRequest> requests;
+  for (size_t begin = 0; begin < groups.size();) {
+    size_t end = std::min(groups.size(), begin + chunk);
+    while (end < groups.size() && end > begin + 1 &&
+           groups[end].origin == groups[end - 1].origin) {
+      --end;
     }
-    group_entries[g] = std::move(entries);
-  });
+    while (end < groups.size() &&
+           groups[end].origin == groups[end - 1].origin) {
+      ++end;  // one origin's groups outnumber a chunk
+    }
+    requests.clear();
+    for (size_t g = begin; g < end; ++g) {
+      requests.push_back(PropagationRequest{groups[g].origin, groups[g].cls});
+    }
+    const std::vector<PropagationResultPtr> results =
+        sim_.propagate_cached(requests);
+
+    // Path extraction fans out per group; each worker thread reuses one
+    // arena, so vantages sharing a customer-cone suffix share its hops.
+    util::parallel_for(results.size(), [&](size_t k) {
+      thread_local PathArena arena;
+      const std::vector<PathView> views =
+          sim_.extract_paths(*results[k], peer_ases_, arena);
+      // Each peer's path is shared by every prefix in the group; peers
+      // with no route are dropped here so the per-prefix merge never
+      // re-walks them.
+      std::vector<bgp::RibEntry> entries;
+      entries.reserve(peer_ases_.size());
+      for (size_t i = 0; i < peer_ases_.size(); ++i) {
+        if (!views[i].empty()) {
+          entries.push_back(
+              bgp::RibEntry{static_cast<uint32_t>(i), views[i].to_path()});
+        }
+      }
+      group_entries[begin + k] = std::move(entries);
+    });
+    begin = end;
+  }
   return group_entries;
 }
 

@@ -49,6 +49,8 @@ class RouteCollector {
   /// The propagation half of collect(): run each group's propagation and
   /// gather its per-peer RIB entries (peer_index = position in peers();
   /// peers with no route are dropped). Slot g belongs to groups[g].
+  /// Groups resolve in bounded chunks of whole lane sweeps, so the
+  /// per-AS results held at once do not grow with the group count.
   /// Exposed so benchmarks can time propagation and merge separately.
   std::vector<std::vector<bgp::RibEntry>> collect_group_entries(
       const std::vector<AnnouncementGroup>& groups) const;

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #include <immintrin.h>
@@ -20,10 +21,51 @@ AsIndexer::AsIndexer(const astopo::AsGraph& graph) {
   // all_asns() is ascending, so dense ids are ASN-ascending: comparing
   // ids IS comparing ASNs (the engine's tie-breaks depend on this).
   asns_ = graph.all_asns();
+  if (asns_.size() > PropagationResult::kHopNone) {
+    throw std::length_error("AsIndexer: more ASes than the 29-bit hop field");
+  }
   ids_.reserve(asns_.size());
   for (size_t i = 0; i < asns_.size(); ++i) {
     ids_.emplace(asns_[i].value(), static_cast<int32_t>(i));
   }
+}
+
+namespace {
+
+/// Walk `result`'s next-hop chain from routed AS `id` to the origin,
+/// calling `visit` on every AS of [id, ..., origin]. A well-formed chain
+/// is a simple path, so it reaches the origin within `limit` hops;
+/// kBrokenChain when it runs longer (a cycle) or leaves the first `limit`
+/// ids or routed state.
+template <typename Visit>
+PathStatus walk_chain(const PropagationResult& result, int32_t id,
+                      size_t limit, Visit&& visit) {
+  int32_t current = id;
+  for (size_t steps = 0; steps <= limit; ++steps) {
+    visit(current);
+    if (result.source(current) == RouteSource::kOrigin) return PathStatus::kOk;
+    const int32_t next = result.next_hop(current);
+    if (next < 0 || static_cast<size_t>(next) >= limit ||
+        !result.reached(next)) {
+      return PathStatus::kBrokenChain;
+    }
+    current = next;
+  }
+  return PathStatus::kBrokenChain;
+}
+
+}  // namespace
+
+uint16_t PropagationResult::distance(int32_t id) const {
+  if (id < 0 || static_cast<size_t>(id) >= words.size() || !reached(id)) {
+    return kNoDistance;
+  }
+  size_t hops = 0;
+  if (walk_chain(*this, id, words.size(), [&](int32_t) { ++hops; }) !=
+      PathStatus::kOk) {
+    return kNoDistance;
+  }
+  return static_cast<uint16_t>(std::min<size_t>(hops - 1, kNoDistance));
 }
 
 uint8_t filter_variant(const net::Prefix& prefix) {
@@ -64,9 +106,17 @@ inline bool test_bit(const uint64_t* mask, int32_t v) {
   return ((mask[i >> 6] >> (i & 63)) & 1) != 0;
 }
 
-/// Approximate heap footprint of one cached PropagationResult.
+/// Heap footprint of one cached PropagationResult: its packed words plus
+/// the make_shared block (control block and the result's vector header),
+/// the cache map's node and bucket slot, and a malloc header for each of
+/// the three allocations.
 size_t cache_entry_bytes(size_t n) {
-  return n * (sizeof(RouteSource) + sizeof(int32_t) + sizeof(uint16_t)) + 168;
+  constexpr size_t kMallocHeader = 16;
+  constexpr size_t kControlBlock = 16;  // vtable pointer + two counts
+  constexpr size_t kMapNode =
+      sizeof(void*) + sizeof(std::pair<const uint64_t, PropagationResultPtr>);
+  return n * sizeof(uint32_t) + kControlBlock + sizeof(PropagationResult) +
+         kMapNode + sizeof(void*) + 3 * kMallocHeader;
 }
 
 size_t cache_capacity_from_env() {
@@ -105,13 +155,15 @@ constexpr uint64_t kLanePeerPrio = 2ull << 56;
 constexpr uint64_t kLaneProviderPrio = 3ull << 56;
 constexpr uint64_t kLaneDistMask = 0xffffffull;
 
-/// The all-none result of an unknown origin (matches propagate_id's
-/// origin_id < 0 branch byte for byte).
+constexpr uint32_t kUnreachedWord =
+    PropagationResult::pack(RouteSource::kNone, PropagationResult::kNoRoute);
+constexpr uint32_t kOriginWord =
+    PropagationResult::pack(RouteSource::kOrigin, PropagationResult::kNoRoute);
+
+/// The all-none result of an unknown origin.
 PropagationResult unreached_result(size_t n) {
   PropagationResult result;
-  result.source.assign(n, RouteSource::kNone);
-  result.next_hop.assign(n, PropagationResult::kNoRoute);
-  result.distance.assign(n, std::numeric_limits<uint16_t>::max());
+  result.words.assign(n, kUnreachedWord);
   return result;
 }
 
@@ -438,28 +490,22 @@ SimDeltaStats PropagationSim::apply_delta(const SimDelta& delta) {
     }
   }
 
-  // The entry's current packed order key at dense id `id` -- the same
-  // encoding the lane engine folds over (priority, distance, next hop).
-  auto key_of = [](const PropagationResult& res, int32_t id) -> uint64_t {
-    const size_t i = static_cast<size_t>(id);
-    uint64_t prio = 0;
-    switch (res.source[i]) {
-      case RouteSource::kNone:
-        return kLaneUnseen;
+  // The priority field of the packed order key the lane engine folds
+  // over (priority, distance, next hop) for a route learned from `src`.
+  auto prio_of = [](RouteSource src) -> uint64_t {
+    switch (src) {
       case RouteSource::kOrigin:
         return 0;
       case RouteSource::kCustomer:
-        prio = kLaneCustomerPrio;
-        break;
+        return kLaneCustomerPrio;
       case RouteSource::kPeer:
-        prio = kLanePeerPrio;
-        break;
+        return kLanePeerPrio;
       case RouteSource::kProvider:
-        prio = kLaneProviderPrio;
+        return kLaneProviderPrio;
+      case RouteSource::kNone:
         break;
     }
-    return prio | (static_cast<uint64_t>(res.distance[i]) << 32) |
-           static_cast<uint32_t>(res.next_hop[i]);
+    return kLaneUnseen;
   };
 
   // Does any new edge offer either endpoint a better key than the cached
@@ -480,19 +526,24 @@ SimDeltaStats PropagationSim::apply_delta(const SimDelta& delta) {
     // `drop_at_to` is the receiver's ingress filter for this adjacency.
     auto offer_beats = [&](int32_t from, int32_t to, uint64_t prio,
                            const uint64_t* drop_at_to, bool restricted) {
-      const size_t f = static_cast<size_t>(from);
-      const RouteSource src = res.source[f];
+      const RouteSource src = res.source(from);
       if (src == RouteSource::kNone) return false;
       if (restricted && src != RouteSource::kOrigin &&
           src != RouteSource::kCustomer) {
         return false;
       }
       if (test_bit(drop_at_to, to)) return false;
-      const uint64_t cand = prio |
-                            ((static_cast<uint64_t>(res.distance[f]) + 1)
-                             << 32) |
-                            static_cast<uint32_t>(from);
-      return cand < key_of(res, to);
+      // The offer's key (prio, distance(from) + 1, from) against `to`'s
+      // current key, field by field. Distances are chain walks, so they
+      // are read only when the priorities tie.
+      const RouteSource have = res.source(to);
+      if (have == RouteSource::kNone) return true;
+      const uint64_t have_prio = prio_of(have);
+      if (prio != have_prio) return prio < have_prio;
+      const uint32_t cand_dist = res.distance(from) + 1u;
+      const uint32_t have_dist = res.distance(to);
+      if (cand_dist != have_dist) return cand_dist < have_dist;
+      return from < res.next_hop(to);
     };
     for (const NewEdge& e : new_edges) {
       if (e.p2c) {
@@ -642,13 +693,7 @@ PropagationResult PropagationSim::propagate_id(
     PropagationWorkspace& ws) const {
   using NodeState = PropagationWorkspace::NodeState;
   const size_t n = indexer_.size();
-  PropagationResult result;
-  if (origin_id < 0) {
-    result.source.assign(n, RouteSource::kNone);
-    result.next_hop.assign(n, PropagationResult::kNoRoute);
-    result.distance.assign(n, std::numeric_limits<uint16_t>::max());
-    return result;
-  }
+  if (origin_id < 0) return unreached_result(n);
 
   ensure_masks();
   const size_t ci = class_index(cls);
@@ -813,27 +858,22 @@ PropagationResult PropagationSim::propagate_id(
     }
   }
 
-  // Materialize the dense result in one sequential pass: provider routes
-  // decode from their order key, everything else (origin/customer/peer
-  // routes, and unreached ASes) reads from the stamped node state.
-  result.source.resize(n);
-  result.next_hop.resize(n);
-  result.distance.resize(n);
+  // Materialize the dense result in one sequential pass, one packed word
+  // per AS: provider routes decode from their order key, everything else
+  // (origin/customer/peer routes, and unreached ASes) reads from the
+  // stamped node state.
+  PropagationResult result;
+  result.words.resize(n);
+  uint32_t* const out = result.words.data();
   for (size_t i = 0; i < n; ++i) {
     const uint64_t k = key[i];
     if ((k >> 56) == 1) {
-      result.source[i] = RouteSource::kProvider;
-      result.next_hop[i] = static_cast<int32_t>(static_cast<uint32_t>(k));
-      result.distance[i] = static_cast<uint16_t>(k >> 32);
+      out[i] = PropagationResult::pack(
+          RouteSource::kProvider, static_cast<int32_t>(static_cast<uint32_t>(k)));
     } else if (node[i].stamp == epoch) {
-      const NodeState& s = node[i];
-      result.source[i] = s.source;
-      result.next_hop[i] = s.next_hop;
-      result.distance[i] = s.distance;
+      out[i] = PropagationResult::pack(node[i].source, node[i].next_hop);
     } else {
-      result.source[i] = RouteSource::kNone;
-      result.next_hop[i] = PropagationResult::kNoRoute;
-      result.distance[i] = std::numeric_limits<uint16_t>::max();
+      out[i] = kUnreachedWord;
     }
   }
   return result;
@@ -1127,51 +1167,40 @@ void PropagationSim::propagate_lanes(const int32_t* origin_ids,
   // Materialize every lane's dense result, lane-major within AS tiles:
   // one lane's writes stream sequentially while its strided key reads
   // stay inside a tile small enough to live in L2 across all lane
-  // passes. The decode is branch-free: the priority byte indexes a
-  // source table (0 = origin since only the origin holds key 0; 0x7f =
-  // kLaneUnseen's top byte = unreached), the low word is the next hop
-  // (kLaneUnseen's low word is already kNoRoute = -1), and the distance
-  // field truncates to the uint16 sentinel for unreached lanes. Only the
-  // origin's next hop needs patching afterwards (key 0 decodes as hop 0,
-  // not kNoRoute).
-  static constexpr std::array<RouteSource, 128> kSourceOfPrio = [] {
-    std::array<RouteSource, 128> t{};
-    t.fill(RouteSource::kNone);
-    t[0] = RouteSource::kOrigin;
-    t[1] = RouteSource::kCustomer;
-    t[2] = RouteSource::kPeer;
-    t[3] = RouteSource::kProvider;
+  // passes. The decode is branch-free: the priority byte indexes a table
+  // of pre-shifted source fields (0 = origin since only the origin holds
+  // key 0; 0x7f = kLaneUnseen's top byte = unreached), and the low word
+  // masked to 29 bits is the hop field (kLaneUnseen's low word masks to
+  // kHopNone). Only the origin's word needs patching afterwards (key 0
+  // decodes as hop 0, not kHopNone).
+  static constexpr std::array<uint32_t, 128> kSourceBitsOfPrio = [] {
+    std::array<uint32_t, 128> t{};
+    t.fill(PropagationResult::pack(RouteSource::kNone, 0));
+    t[0] = PropagationResult::pack(RouteSource::kOrigin, 0);
+    t[1] = PropagationResult::pack(RouteSource::kCustomer, 0);
+    t[2] = PropagationResult::pack(RouteSource::kPeer, 0);
+    t[3] = PropagationResult::pack(RouteSource::kProvider, 0);
     return t;
   }();
-  RouteSource* src_of[kMaxBatchLanes];
-  int32_t* hop_of[kMaxBatchLanes];
-  uint16_t* dist_of[kMaxBatchLanes];
+  uint32_t* words_of[kMaxBatchLanes];
   for (size_t l = 0; l < W; ++l) {
-    PropagationResult& r = *results[l];
-    r.source.resize(n);
-    r.next_hop.resize(n);
-    r.distance.resize(n);
-    src_of[l] = r.source.data();
-    hop_of[l] = r.next_hop.data();
-    dist_of[l] = r.distance.data();
+    results[l]->words.resize(n);
+    words_of[l] = results[l]->words.data();
   }
   constexpr size_t kTile = 1024;  // x 512B lane block = 512KB, L2-sized
   for (size_t base = 0; base < n; base += kTile) {
     const size_t lim = std::min(n, base + kTile);
     for (size_t l = 0; l < W; ++l) {
-      RouteSource* const src = src_of[l];
-      int32_t* const hop = hop_of[l];
-      uint16_t* const dist = dist_of[l];
+      uint32_t* const words = words_of[l];
       for (size_t i = base; i < lim; ++i) {
         const uint64_t k = key[i * W + l];
-        src[i] = kSourceOfPrio[k >> 56];
-        hop[i] = static_cast<int32_t>(static_cast<uint32_t>(k));
-        dist[i] = static_cast<uint16_t>(k >> 32);
+        words[i] = kSourceBitsOfPrio[k >> 56] |
+                   (static_cast<uint32_t>(k) & PropagationResult::kHopNone);
       }
     }
   }
   for (size_t l = 0; l < W; ++l) {
-    hop_of[l][static_cast<size_t>(origin_ids[l])] = PropagationResult::kNoRoute;
+    words_of[l][static_cast<size_t>(origin_ids[l])] = kOriginWord;
   }
 }
 
@@ -1400,35 +1429,22 @@ bgp::AsPath PropagationSim::path_from(const PropagationResult& result,
   };
   const int32_t id = indexer_.id_of(vantage);
   if (id < 0) return fail(PathStatus::kNoRoute);
-  const size_t limit = std::min(indexer_.size(), result.source.size());
+  const size_t limit = std::min(indexer_.size(), result.size());
   if (static_cast<size_t>(id) >= limit) return fail(PathStatus::kBrokenChain);
-  if (result.source[static_cast<size_t>(id)] == RouteSource::kNone) {
-    return fail(PathStatus::kNoRoute);
-  }
+  if (!result.reached(id)) return fail(PathStatus::kNoRoute);
   std::vector<net::Asn> hops;
-  int32_t current = id;
-  // A well-formed next_hop chain is a simple path, so it reaches the
-  // origin within `limit` hops; anything longer is a cycle.
-  for (size_t steps = 0; steps <= limit; ++steps) {
-    hops.push_back(indexer_.asn_of(current));
-    if (result.source[static_cast<size_t>(current)] == RouteSource::kOrigin) {
-      if (status != nullptr) *status = PathStatus::kOk;
-      return bgp::AsPath(std::move(hops));
-    }
-    const int32_t next = result.next_hop[static_cast<size_t>(current)];
-    if (next < 0 || static_cast<size_t>(next) >= limit ||
-        result.source[static_cast<size_t>(next)] == RouteSource::kNone) {
-      return fail(PathStatus::kBrokenChain);  // chain leaves routed state
-    }
-    current = next;
-  }
-  return fail(PathStatus::kBrokenChain);  // exceeded any simple path: cycle
+  const PathStatus walked = walk_chain(result, id, limit, [&](int32_t v) {
+    hops.push_back(indexer_.asn_of(v));
+  });
+  if (walked != PathStatus::kOk) return fail(walked);
+  if (status != nullptr) *status = PathStatus::kOk;
+  return bgp::AsPath(std::move(hops));
 }
 
 std::vector<PathView> PropagationSim::extract_paths(
     const PropagationResult& result, const std::vector<net::Asn>& vantages,
     PathArena& arena) const {
-  const size_t limit = std::min(indexer_.size(), result.source.size());
+  const size_t limit = std::min(indexer_.size(), result.size());
   if (arena.memo_.size() < limit) {
     arena.memo_.assign(limit, PathArena::Memo{});
     arena.epoch_ = 0;
@@ -1449,7 +1465,7 @@ std::vector<PathView> PropagationSim::extract_paths(
   for (size_t k = 0; k < vantages.size(); ++k) {
     const int32_t id = indexer_.id_of(vantages[k]);
     if (id < 0 || static_cast<size_t>(id) >= limit) continue;
-    if (result.source[static_cast<size_t>(id)] == RouteSource::kNone) continue;
+    if (!result.reached(id)) continue;
     std::vector<int32_t>& scratch = arena.scratch_;
     scratch.clear();
     int32_t current = id;
@@ -1468,14 +1484,13 @@ std::vector<PathView> PropagationSim::extract_paths(
         break;
       }
       scratch.push_back(current);
-      if (result.source[static_cast<size_t>(current)] ==
-          RouteSource::kOrigin) {
+      if (result.source(current) == RouteSource::kOrigin) {
         ok = true;
         break;
       }
-      const int32_t next = result.next_hop[static_cast<size_t>(current)];
+      const int32_t next = result.next_hop(current);
       if (next < 0 || static_cast<size_t>(next) >= limit ||
-          result.source[static_cast<size_t>(next)] == RouteSource::kNone) {
+          !result.reached(next)) {
         break;
       }
       current = next;

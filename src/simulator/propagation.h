@@ -35,6 +35,9 @@
 //   * the dominant downhill phase is branchless: per-AS packed order
 //     keys folded with conditional moves instead of an unpredictable
 //     install-or-skip branch per edge (see propagate_id);
+//   * a result is one packed 32-bit word per AS (route source and next-hop
+//     id; distances are chain lengths, walked on demand), so a cached
+//     entry costs 4 B per AS;
 //   * propagate_cached() memoizes results by (origin, effective drop
 //     signature), letting the collector and hegemony stages share one
 //     propagation per group -- and letting classes no policy tells apart
@@ -113,17 +116,50 @@ enum class RouteSource : uint8_t {
   kOrigin = 4,
 };
 
-/// Result of one propagation: per-AS state indexed by dense AS id.
+/// Result of one propagation: per-AS state indexed by dense AS id, one
+/// packed 32-bit word per AS (this is the propagation cache's unit, so its
+/// size is the cache's size):
+///
+///     [31:29] RouteSource   [28:0] next-hop dense id
+///
+/// with hop field kHopNone for "no next hop" (the origin and unreached
+/// ASes). The AS-path distance is not stored: it is the length of the
+/// next-hop chain, which distance() walks.
 struct PropagationResult {
   static constexpr int32_t kNoRoute = -1;
+  static constexpr int kSourceShift = 29;
+  static constexpr uint32_t kHopNone = (1u << kSourceShift) - 1;
+  /// distance() of an AS without a route (or with a corrupt chain).
+  static constexpr uint16_t kNoDistance = 0xffff;
 
-  std::vector<RouteSource> source;  // how each AS learned the route
-  std::vector<int32_t> next_hop;    // dense id of the neighbor toward origin
-  std::vector<uint16_t> distance;   // AS-path length in hops from origin
+  std::vector<uint32_t> words;
 
-  bool reached(int32_t id) const {
-    return source[static_cast<size_t>(id)] != RouteSource::kNone;
+  /// Pack one AS's state; `hop` is a dense id below kHopNone or kNoRoute.
+  static constexpr uint32_t pack(RouteSource src, int32_t hop) {
+    return (static_cast<uint32_t>(src) << kSourceShift) |
+           (hop < 0 ? kHopNone : static_cast<uint32_t>(hop));
   }
+
+  size_t size() const { return words.size(); }
+  /// How AS `id` learned the route.
+  RouteSource source(int32_t id) const {
+    return static_cast<RouteSource>(words[static_cast<size_t>(id)] >>
+                                    kSourceShift);
+  }
+  /// Dense id of the neighbor toward the origin; kNoRoute for the origin
+  /// and for unreached ASes.
+  int32_t next_hop(int32_t id) const {
+    const uint32_t hop = words[static_cast<size_t>(id)] & kHopNone;
+    return hop == kHopNone ? kNoRoute : static_cast<int32_t>(hop);
+  }
+  bool reached(int32_t id) const { return source(id) != RouteSource::kNone; }
+  /// AS-path length in hops from the origin: the next-hop chain walked to
+  /// the origin, under the same cycle bound as PropagationSim::path_from.
+  /// kNoDistance when AS `id` has no route or its chain is corrupt.
+  uint16_t distance(int32_t id) const;
+
+  friend bool operator==(const PropagationResult&,
+                         const PropagationResult&) = default;
 };
 
 /// Shared, immutable propagation result (the propagation cache's unit).
@@ -145,6 +181,8 @@ enum class PathStatus : uint8_t {
 /// -- the propagation tie-breaks rely on this to compare ids directly.
 class AsIndexer {
  public:
+  /// Throws std::length_error for graphs of more than
+  /// PropagationResult::kHopNone ASes (ids must fit the packed hop field).
   explicit AsIndexer(const astopo::AsGraph& graph);
 
   int32_t id_of(net::Asn asn) const {

@@ -204,6 +204,82 @@ TEST(IrrValidation, IsInvalidOnlyForWrongOrigin) {
   EXPECT_FALSE(is_invalid(IrrStatus::kNotFound));
 }
 
+// The §6.1 rule as a naive linear scan over every route object of the
+// given databases, covering tested with Prefix::contains.
+IrrStatus naive_validate(const std::vector<const IrrDatabase*>& databases,
+                         const Prefix& route, Asn origin) {
+  bool any_covering = false;
+  bool asn_match = false;
+  bool valid = false;
+  for (const IrrDatabase* db : databases) {
+    db->for_each_route([&](const RouteObject& obj) {
+      if (!obj.prefix.contains(route)) return;
+      any_covering = true;
+      if (obj.origin != origin) return;
+      asn_match = true;
+      if (obj.prefix.length() == route.length()) valid = true;
+    });
+  }
+  if (!any_covering) return IrrStatus::kNotFound;
+  if (valid) return IrrStatus::kValid;
+  return asn_match ? IrrStatus::kInvalidLength : IrrStatus::kInvalidAsn;
+}
+
+IrrRegistry validate_fixture() {
+  IrrRegistry registry;
+  auto& ripe = registry.add_database("RIPE", true);
+  auto& radb = registry.add_database("RADB", false);
+  // The same object in two databases (a RADb mirror copy).
+  ripe.add_route(make_route("10.0.0.0/16", 64496));
+  radb.add_route(make_route("10.0.0.0/16", 64496));
+  // An exact-length object under it, and a shorter cover by another AS.
+  ripe.add_route(make_route("10.0.1.0/24", 64496));
+  radb.add_route(make_route("10.0.0.0/8", 64500));
+  // A wrong-origin object at a /24.
+  radb.add_route(make_route("10.0.2.0/24", 64497));
+  ripe.add_route(make_route("2001:db8::/32", 64496));
+  return registry;
+}
+
+TEST(IrrValidate, MatchesNaiveLinearScan) {
+  const IrrRegistry registry = validate_fixture();
+  const char* const queries[] = {
+      "10.0.0.0/8",    "10.0.0.0/16",     "10.0.1.0/24",
+      "10.0.2.0/24",   "10.0.3.0/24",     "10.0.1.128/25",
+      "11.0.0.0/8",    "2001:db8::/32",   "2001:db8:1::/48",
+      "2001:db9::/32"};
+  const uint32_t origins[] = {64496, 64497, 64500, 1};
+  size_t seen[4] = {0, 0, 0, 0};
+  for (const char* text : queries) {
+    const Prefix query = Prefix::must_parse(text);
+    for (uint32_t asn : origins) {
+      const IrrStatus want =
+          naive_validate(registry.databases(), query, Asn(asn));
+      EXPECT_EQ(validate_route(registry, query, Asn(asn)), want)
+          << text << " AS" << asn;
+      ++seen[static_cast<size_t>(want)];
+      for (const IrrDatabase* db : registry.databases()) {
+        EXPECT_EQ(validate_route(*db, query, Asn(asn)),
+                  naive_validate({db}, query, Asn(asn)))
+            << db->name() << " " << text << " AS" << asn;
+      }
+    }
+  }
+  // Every status is exercised, so the comparison is not vacuous.
+  for (size_t s = 0; s < 4; ++s) EXPECT_GT(seen[s], 0u) << "status " << s;
+}
+
+TEST(IrrValidate, CoveringRoutesDeduplicateByPrefixAndOrigin) {
+  const IrrRegistry registry = validate_fixture();
+  const auto covering =
+      registry.covering_routes(Prefix::must_parse("10.0.1.0/24"));
+  ASSERT_EQ(covering.size(), 3u);  // the mirrored /16 appears once
+  EXPECT_EQ(covering[0].prefix, Prefix::must_parse("10.0.0.0/8"));
+  EXPECT_EQ(covering[1].prefix, Prefix::must_parse("10.0.0.0/16"));
+  EXPECT_EQ(covering[1].source, "RIPE");  // the authoritative copy wins
+  EXPECT_EQ(covering[2].prefix, Prefix::must_parse("10.0.1.0/24"));
+}
+
 TEST(AsSetExpansion, RecursiveWithDedup) {
   IrrRegistry registry;
   auto& db = registry.add_database("RADB", false);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "simulator/collector.h"
+#include "topogen/scenario.h"
 
 namespace manrs::sim {
 namespace {
@@ -48,7 +49,7 @@ TEST(Propagation, RouteSourcesFollowGaoRexford) {
   PropagationSim sim(g);
   auto result = sim.propagate(Asn(101), AnnouncementClass{});
   auto source_of = [&](uint32_t asn) {
-    return result.source[static_cast<size_t>(sim.indexer().id_of(Asn(asn)))];
+    return result.source(sim.indexer().id_of(Asn(asn)));
   };
   EXPECT_EQ(source_of(101), RouteSource::kOrigin);
   EXPECT_EQ(source_of(11), RouteSource::kCustomer);  // from its customer
@@ -86,11 +87,10 @@ TEST(Propagation, UnknownOriginReachesNobody) {
   AsGraph g = test_graph();
   PropagationSim sim(g);
   auto result = sim.propagate(Asn(9999), AnnouncementClass{});
-  EXPECT_TRUE(result.source.empty() ||
-              std::all_of(result.source.begin(), result.source.end(),
-                          [](RouteSource s) {
-                            return s == RouteSource::kNone;
-                          }));
+  for (int32_t id = 0; id < static_cast<int32_t>(result.size()); ++id) {
+    EXPECT_FALSE(result.reached(id));
+    EXPECT_EQ(result.distance(id), PropagationResult::kNoDistance);
+  }
 }
 
 TEST(Propagation, PrefersCustomerOverPeerOverProvider) {
@@ -100,9 +100,9 @@ TEST(Propagation, PrefersCustomerOverPeerOverProvider) {
   PropagationSim sim(g);
   auto result = sim.propagate(Asn(101), AnnouncementClass{});
   int32_t b_id = sim.indexer().id_of(Asn(12));
-  EXPECT_EQ(result.source[static_cast<size_t>(b_id)], RouteSource::kPeer);
+  EXPECT_EQ(result.source(b_id), RouteSource::kPeer);
   // Path length via the peer link: B -> A -> a = 2 hops.
-  EXPECT_EQ(result.distance[static_cast<size_t>(b_id)], 2);
+  EXPECT_EQ(result.distance(b_id), 2);
 }
 
 TEST(Propagation, RovDropsInvalidEverywhereDownstream) {
@@ -194,7 +194,7 @@ TEST(Propagation, PeerFilterDropsAtPeerEdge) {
   // B refuses the A--B peer route but still learns via its provider T1.
   int32_t b = sim.indexer().id_of(Asn(12));
   EXPECT_TRUE(result.reached(b));
-  EXPECT_EQ(result.source[static_cast<size_t>(b)], RouteSource::kProvider);
+  EXPECT_EQ(result.source(b), RouteSource::kProvider);
 }
 
 TEST(Propagation, DeterministicTieBreakByLowestAsn) {
@@ -237,21 +237,24 @@ TEST(Propagation, PathStatusFlagsCorruptedNextHopChain) {
 
   // A cycle: b's chain loops back to itself instead of descending.
   PropagationResult cycle = result;
-  cycle.next_hop[static_cast<size_t>(b)] = b;
+  cycle.words[static_cast<size_t>(b)] =
+      PropagationResult::pack(cycle.source(b), b);
   PathStatus status = PathStatus::kOk;
   EXPECT_TRUE(sim.path_from(cycle, Asn(102), &status).empty());
   EXPECT_EQ(status, PathStatus::kBrokenChain);
 
   // A hop pointing at an AS that never installed a route.
   PropagationResult dangling = result;
-  dangling.source[static_cast<size_t>(a)] = RouteSource::kNone;
+  dangling.words[static_cast<size_t>(a)] =
+      PropagationResult::pack(RouteSource::kNone, PropagationResult::kNoRoute);
   // 102's chain runs ... -> 101 (the origin), which now claims no route.
   EXPECT_TRUE(sim.path_from(dangling, Asn(102), &status).empty());
   EXPECT_EQ(status, PathStatus::kBrokenChain);
 
   // An out-of-range id in the chain.
   PropagationResult wild = result;
-  wild.next_hop[static_cast<size_t>(b)] = 1 << 20;
+  wild.words[static_cast<size_t>(b)] =
+      PropagationResult::pack(wild.source(b), 1 << 20);
   EXPECT_TRUE(sim.path_from(wild, Asn(102), &status).empty());
   EXPECT_EQ(status, PathStatus::kBrokenChain);
 
@@ -274,6 +277,65 @@ TEST(Propagation, FilterVariantIsStdlibIndependent) {
     EXPECT_EQ(filter_variant(net::Prefix::must_parse("10.0.0.0/8")),
               filter_variant(net::Prefix::must_parse("10.0.0.0/8")));
   }
+}
+
+TEST(PropagationResult, PackRoundTripsEverySourceAndHop) {
+  const RouteSource sources[] = {RouteSource::kNone, RouteSource::kProvider,
+                                 RouteSource::kPeer, RouteSource::kCustomer,
+                                 RouteSource::kOrigin};
+  const int32_t hops[] = {
+      0, static_cast<int32_t>(PropagationResult::kHopNone - 1),
+      PropagationResult::kNoRoute};
+  PropagationResult result;
+  for (RouteSource src : sources) {
+    for (int32_t hop : hops) {
+      result.words = {PropagationResult::pack(src, hop)};
+      EXPECT_EQ(result.source(0), src) << "hop=" << hop;
+      EXPECT_EQ(result.next_hop(0), hop) << "src=" << static_cast<int>(src);
+      EXPECT_EQ(result.reached(0), src != RouteSource::kNone);
+    }
+  }
+  // The unreached word is exactly the none source with no hop.
+  EXPECT_EQ(PropagationResult::pack(RouteSource::kNone,
+                                    PropagationResult::kNoRoute),
+            PropagationResult::kHopNone);
+}
+
+TEST(PropagationResult, DistanceIsTheChainLength) {
+  const topogen::Scenario scenario =
+      topogen::build_scenario(topogen::ScenarioConfig::tiny());
+  const PropagationSim sim = scenario.make_sim();
+  const int32_t n = static_cast<int32_t>(sim.indexer().size());
+  AnnouncementClass rpki_invalid;
+  rpki_invalid.rpki_invalid = true;
+  AnnouncementClass irr_invalid;
+  irr_invalid.irr_invalid = true;
+  irr_invalid.variant = 1;
+  size_t reached = 0;
+  size_t unreached = 0;
+  for (size_t p = 0; p < scenario.profiles.size(); p += 23) {
+    for (const AnnouncementClass& cls :
+         {AnnouncementClass{}, rpki_invalid, irr_invalid}) {
+      const Asn origin = scenario.profiles[p].asn;
+      const PropagationResult result = sim.propagate(origin, cls);
+      ASSERT_EQ(result.size(), static_cast<size_t>(n));
+      for (int32_t id = 0; id < n; ++id) {
+        if (!result.reached(id)) {
+          EXPECT_EQ(result.distance(id), PropagationResult::kNoDistance);
+          ++unreached;
+          continue;
+        }
+        const bgp::AsPath path = sim.path_from(result, sim.indexer().asn_of(id));
+        ASSERT_FALSE(path.empty()) << origin.to_string();
+        EXPECT_EQ(result.distance(id), path.hops().size() - 1)
+            << origin.to_string() << " -> "
+            << sim.indexer().asn_of(id).to_string();
+        ++reached;
+      }
+    }
+  }
+  EXPECT_GT(reached, 0u);
+  EXPECT_GT(unreached, 0u);  // the filtered classes leave some ASes dark
 }
 
 TEST(Collector, GroupsByOriginAndClass) {

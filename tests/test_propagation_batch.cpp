@@ -127,12 +127,7 @@ std::vector<PropagationRequest> mixed_requests(util::Rng& rng, size_t n,
 void expect_result_eq(const PropagationResult& got,
                       const PropagationResult& want, size_t request,
                       size_t width) {
-  EXPECT_EQ(got.source, want.source) << "request=" << request
-                                     << " width=" << width;
-  EXPECT_EQ(got.next_hop, want.next_hop)
-      << "request=" << request << " width=" << width;
-  EXPECT_EQ(got.distance, want.distance)
-      << "request=" << request << " width=" << width;
+  EXPECT_EQ(got, want) << "request=" << request << " width=" << width;
 }
 
 TEST(PropagationBatch, MatchesSingleAcrossWidths) {
@@ -309,10 +304,11 @@ TEST(PropagationBatch, UnknownOriginYieldsAllNone) {
   std::vector<PropagationResult> lanes = sim.propagate_batch(requests);
   std::vector<sim::PropagationResultPtr> cached =
       sim.propagate_cached(requests);
-  ASSERT_EQ(lanes[0].source.size(), sim.indexer().size());
-  for (size_t i = 0; i < lanes[0].source.size(); ++i) {
-    EXPECT_EQ(lanes[0].source[i], sim::RouteSource::kNone);
-    EXPECT_EQ(cached[0]->source[i], sim::RouteSource::kNone);
+  ASSERT_EQ(lanes[0].size(), sim.indexer().size());
+  for (int32_t i = 0; i < static_cast<int32_t>(lanes[0].size()); ++i) {
+    EXPECT_EQ(lanes[0].source(i), sim::RouteSource::kNone);
+    EXPECT_EQ(lanes[0].next_hop(i), PropagationResult::kNoRoute);
+    EXPECT_EQ(cached[0]->source(i), sim::RouteSource::kNone);
   }
 }
 
@@ -376,15 +372,15 @@ TEST(PropagationBatchPaths, BrokenChainYieldsEmptyView) {
   // reports kBrokenChain, and the arena walk must agree (empty view)
   // for every vantage whose chain crosses it.
   int32_t victim = -1;
-  for (size_t i = 0; i < result.source.size(); ++i) {
-    if (result.source[i] != sim::RouteSource::kNone &&
-        result.source[i] != sim::RouteSource::kOrigin) {
-      victim = static_cast<int32_t>(i);
+  for (int32_t i = 0; i < static_cast<int32_t>(result.size()); ++i) {
+    if (result.reached(i) && result.source(i) != sim::RouteSource::kOrigin) {
+      victim = i;
       break;
     }
   }
   ASSERT_GE(victim, 0);
-  result.next_hop[static_cast<size_t>(victim)] = victim;
+  result.words[static_cast<size_t>(victim)] =
+      PropagationResult::pack(result.source(victim), victim);
 
   std::vector<Asn> vantages = sim.indexer().asns();
   sim::PathArena arena;
@@ -509,6 +505,45 @@ TEST(PropagationBatchGolden, PipelineBytesMatchSingleEngineAcrossMatrix) {
                                    << " grain=" << grain;
       }
     }
+  }
+}
+
+TEST(PropagationBatchGolden, ChunkedCollectMatchesOneBatch) {
+  // collect() resolves groups in chunks of whole sweeps (narrow widths
+  // make many small chunks): the RIB bytes must match with the cache on
+  // and off, and with the cache on the hit/miss counts must equal one
+  // batched resolve over every group.
+  EngineKnobGuard guard;
+  const topogen::Scenario scenario =
+      topogen::build_scenario(topogen::ScenarioConfig::tiny());
+  const auto announcements = classified_announcements(scenario);
+  const auto groups = sim::group_announcements(announcements);
+  std::vector<sim::PropagationRequest> requests;
+  for (const auto& group : groups) {
+    requests.push_back(sim::PropagationRequest{group.origin, group.cls});
+  }
+  util::set_thread_count(1);
+  for (size_t width : {size_t{1}, size_t{7}}) {
+    sim::set_batch_width(width);
+    ASSERT_GT(groups.size(), 4 * width) << "one chunk would hold every group";
+    PropagationSim cached = scenario.make_sim();
+    const std::string on = rib_bytes(
+        sim::RouteCollector(cached, scenario.vantage_points)
+            .collect(announcements));
+    PropagationSim uncached = scenario.make_sim();
+    uncached.set_cache_enabled(false);
+    const std::string off = rib_bytes(
+        sim::RouteCollector(uncached, scenario.vantage_points)
+            .collect(announcements));
+    EXPECT_EQ(on, off) << "width=" << width;
+
+    PropagationSim one_batch = scenario.make_sim();
+    (void)one_batch.propagate_cached(requests);
+    EXPECT_EQ(cached.cache_stats().hits, one_batch.cache_stats().hits)
+        << "width=" << width;
+    EXPECT_EQ(cached.cache_stats().misses, one_batch.cache_stats().misses)
+        << "width=" << width;
+    EXPECT_GT(cached.cache_stats().hits, 0u);
   }
 }
 

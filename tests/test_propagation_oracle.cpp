@@ -16,7 +16,9 @@
 //     classes no policy distinguishes onto one entry.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -211,21 +213,20 @@ TEST_P(PropagationOracleP, EveryPerAsDecisionMatches) {
             << "seed=" << GetParam() << " origin=" << origin.to_string()
             << " as=" << asn.to_string();
         if (!ref_reached) continue;
-        const size_t i = static_cast<size_t>(id);
-        EXPECT_EQ(fast.source[i], ref->second.source)
+        EXPECT_EQ(fast.source(id), ref->second.source)
             << origin.to_string() << " -> " << asn.to_string();
-        EXPECT_EQ(fast.distance[i], ref->second.distance)
+        EXPECT_EQ(fast.distance(id), ref->second.distance)
             << origin.to_string() << " -> " << asn.to_string();
         if (ref->second.source != RouteSource::kOrigin) {
           // The decisive check: the engine's dense-id tie-break must pick
           // exactly the oracle's lowest-ASN next hop.
-          ASSERT_GE(fast.next_hop[i], 0);
-          EXPECT_EQ(sim.indexer().asn_of(fast.next_hop[i]).value(),
+          ASSERT_GE(fast.next_hop(id), 0);
+          EXPECT_EQ(sim.indexer().asn_of(fast.next_hop(id)).value(),
                     ref->second.next_hop)
               << "seed=" << GetParam() << " origin=" << origin.to_string()
               << " as=" << asn.to_string();
         } else {
-          EXPECT_EQ(fast.next_hop[i], PropagationResult::kNoRoute);
+          EXPECT_EQ(fast.next_hop(id), PropagationResult::kNoRoute);
         }
       }
     }
@@ -249,9 +250,7 @@ TEST_P(PropagationOracleP, WorkspaceReuseIsIdempotent) {
     PropagationResult warm = sim.propagate(origin, cls, reused);
     PropagationWorkspace fresh;
     PropagationResult cold = sim.propagate(origin, cls, fresh);
-    EXPECT_EQ(warm.source, cold.source);
-    EXPECT_EQ(warm.next_hop, cold.next_hop);
-    EXPECT_EQ(warm.distance, cold.distance);
+    EXPECT_EQ(warm, cold);
   }
 }
 
@@ -296,20 +295,19 @@ TEST_P(PropagationOracleP, BatchedLanesMatchOracle) {
           << " origin=" << requests[r].origin.to_string()
           << " as=" << asn.to_string();
       if (!ref_reached) continue;
-      const size_t i = static_cast<size_t>(id);
-      EXPECT_EQ(lane.source[i], ref->second.source)
+      EXPECT_EQ(lane.source(id), ref->second.source)
           << "lane=" << r << " as=" << asn.to_string();
-      EXPECT_EQ(lane.distance[i], ref->second.distance)
+      EXPECT_EQ(lane.distance(id), ref->second.distance)
           << "lane=" << r << " as=" << asn.to_string();
       if (ref->second.source != RouteSource::kOrigin) {
-        ASSERT_GE(lane.next_hop[i], 0);
-        EXPECT_EQ(sim.indexer().asn_of(lane.next_hop[i]).value(),
+        ASSERT_GE(lane.next_hop(id), 0);
+        EXPECT_EQ(sim.indexer().asn_of(lane.next_hop(id)).value(),
                   ref->second.next_hop)
             << "seed=" << GetParam() << " lane=" << r
             << " origin=" << requests[r].origin.to_string()
             << " as=" << asn.to_string();
       } else {
-        EXPECT_EQ(lane.next_hop[i], PropagationResult::kNoRoute);
+        EXPECT_EQ(lane.next_hop(id), PropagationResult::kNoRoute);
       }
     }
   }
@@ -334,9 +332,7 @@ TEST(PropagationCache, CachedMatchesUncached) {
     PropagationResult plain = sim.propagate(origin, cls);
     sim::PropagationResultPtr cached = sim.propagate_cached(origin, cls);
     ASSERT_NE(cached, nullptr);
-    EXPECT_EQ(plain.source, cached->source);
-    EXPECT_EQ(plain.next_hop, cached->next_hop);
-    EXPECT_EQ(plain.distance, cached->distance);
+    EXPECT_EQ(plain, *cached);
     // Second lookup must serve the identical object.
     EXPECT_EQ(sim.propagate_cached(origin, cls).get(), cached.get());
   }
@@ -379,14 +375,12 @@ TEST(PropagationCache, ClearAndDisable) {
   sim.clear_cache();
   EXPECT_EQ(sim.cache_stats().entries, 0u);
   // Pointers returned before the clear stay valid.
-  EXPECT_EQ(kept->source, plain.source);
+  EXPECT_EQ(*kept, plain);
 
   sim.set_cache_enabled(false);
   sim::PropagationResultPtr uncached = sim.propagate_cached(origin, cls);
   EXPECT_EQ(sim.cache_stats().entries, 0u);
-  EXPECT_EQ(uncached->source, plain.source);
-  EXPECT_EQ(uncached->next_hop, plain.next_hop);
-  EXPECT_EQ(uncached->distance, plain.distance);
+  EXPECT_EQ(*uncached, plain);
   sim.set_cache_enabled(true);
 }
 
@@ -474,6 +468,57 @@ TEST(PropagationCache, HegemonyStageReusesCollectorPropagations) {
   EXPECT_GT(after_build.hits, after_collect.hits);
   // Identical group structure: the second stage adds no new entries.
   EXPECT_EQ(after_build.entries, after_collect.entries);
+}
+
+TEST(PropagationCache, CapDoesNotChangeOutput) {
+  // A 1 MiB cap (read when the simulator is built) must not change the
+  // snapshot, and the cache must stay under it at every step. Tiny
+  // scale's whole cache is about 0.6 MB, so the scenario is tiny's with
+  // four times the ASes per population: the cap then holds only part of
+  // the groups, and later builds mix hits with recomputed misses.
+  topogen::ScenarioConfig config = topogen::ScenarioConfig::tiny();
+  for (topogen::PopulationConfig* population :
+       {&config.small_manrs, &config.medium_manrs, &config.large_manrs,
+        &config.small_other, &config.medium_other, &config.large_other}) {
+    population->count *= 4;
+    population->quiet *= 4;
+  }
+  const topogen::Scenario scenario = topogen::build_scenario(config);
+  ihr::IhrSnapshot uncapped;
+  {
+    PropagationSim simulator = scenario.make_sim();
+    ihr::IhrSnapshotBuilder builder(simulator, scenario.vantage_points);
+    uncapped = builder.build(scenario.announcements(), scenario.vrps,
+                             scenario.irr);
+  }
+
+  const char* saved = std::getenv("MANRS_PROP_CACHE_MB");
+  const std::optional<std::string> previous =
+      saved != nullptr ? std::optional<std::string>(saved) : std::nullopt;
+  ::setenv("MANRS_PROP_CACHE_MB", "1", 1);
+  PropagationSim simulator = scenario.make_sim();
+  if (previous) {
+    ::setenv("MANRS_PROP_CACHE_MB", previous->c_str(), 1);
+  } else {
+    ::unsetenv("MANRS_PROP_CACHE_MB");
+  }
+
+  constexpr size_t kCap = 1024 * 1024;
+  ihr::IhrSnapshotBuilder builder(simulator, scenario.vantage_points);
+  for (int round = 0; round < 2; ++round) {  // cold, then partly warm
+    const ihr::IhrSnapshot capped =
+        builder.build(scenario.announcements(), scenario.vrps, scenario.irr);
+    EXPECT_TRUE(capped == uncapped) << "round " << round;
+    EXPECT_LE(simulator.cache_stats().bytes, kCap) << "round " << round;
+  }
+  sim::RouteCollector collector(simulator, scenario.vantage_points);
+  (void)collector.collect(classified_announcements(scenario));
+  const sim::PropagationCacheStats stats = simulator.cache_stats();
+  EXPECT_LE(stats.bytes, kCap);
+  EXPECT_GT(stats.entries, 0u);
+  EXPECT_GT(stats.hits, 0u);
+  // The cap bit: some results were computed but never cached.
+  EXPECT_LT(stats.entries, stats.misses);
 }
 
 }  // namespace

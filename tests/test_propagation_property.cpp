@@ -181,11 +181,9 @@ TEST_P(PropagationVsReferenceP, AgreesOnRandomGraphs) {
             << "seed=" << GetParam() << " origin=" << origin.to_string()
             << " as=" << asn.to_string();
         if (!ref_reached || !fast.reached(id)) continue;
-        EXPECT_EQ(fast.source[static_cast<size_t>(id)],
-                  ref_it->second.source)
+        EXPECT_EQ(fast.source(id), ref_it->second.source)
             << origin.to_string() << " -> " << asn.to_string();
-        EXPECT_EQ(fast.distance[static_cast<size_t>(id)],
-                  ref_it->second.distance)
+        EXPECT_EQ(fast.distance(id), ref_it->second.distance)
             << origin.to_string() << " -> " << asn.to_string();
         // The materialized path must be valley-free and consistent.
         bgp::AsPath path = sim.path_from(fast, asn);

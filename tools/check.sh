@@ -83,7 +83,7 @@ for matrix_threads in 2 4; do
     ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1}" \
     UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
       ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ParallelGolden|PropagationOracle|PropagationCache|PropagationBatch|MrtIngest|UpdateStream|SnapshotSeries|DeltaOracle'
+        -R 'ParallelGolden|PropagationOracle|PropagationCache|PropagationBatch|PropagationResult|IrrValidate|MrtIngest|UpdateStream|SnapshotSeries|DeltaOracle'
   done
 done
 
@@ -114,18 +114,19 @@ if [[ "${TSAN:-1}" != "0" && "$SANITIZE" != "thread" ]]; then
   cmake -B "$TSAN_BUILD_DIR" -S . -DSANITIZE=thread
   cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
     --target tests_util tests_integration tests_bgp_mrt tests_series \
-    perf_pipeline
+    tests_sim tests_irr perf_pipeline
 
   step "TSan: parallel + golden + propagation cache tests"
   # The pool, env-parsing, and shutdown tests plus the serial-vs-parallel
   # golden equality tests (including the sharded flat-RIB merge) and the
   # propagation oracle / cache / batched-lane tests (concurrent lazy mask
   # build, cache insert/lookup under the pool, and the batched front
-  # end's thread-local workspaces + locked install); TSan halts on the
+  # end's thread-local workspaces + locked install), plus the packed
+  # PropagationResult and IRR-validation suites; TSan halts on the
   # first race.
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-      -R 'Parallel|ThreadPool|PropagationOracle|PropagationCache|PropagationBatch|MrtIngest|UpdateStream|SnapshotSeries|DeltaOracle'
+      -R 'Parallel|ThreadPool|PropagationOracle|PropagationCache|PropagationBatch|PropagationResult|IrrValidate|MrtIngest|UpdateStream|SnapshotSeries|DeltaOracle'
 
   step "TSan: golden + cache tests at MANRS_GRAIN=1 (max chunk handoff)"
   # Grain 1 maximises work-counter contention, cross-thread row handoffs
@@ -134,7 +135,7 @@ if [[ "${TSAN:-1}" != "0" && "$SANITIZE" != "thread" ]]; then
   MANRS_THREADS=4 MANRS_GRAIN=1 \
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-      -R 'ParallelGolden|PropagationOracle|PropagationCache|PropagationBatch|MrtIngest|UpdateStream|SnapshotSeries|DeltaOracle'
+      -R 'ParallelGolden|PropagationOracle|PropagationCache|PropagationBatch|PropagationResult|IrrValidate|MrtIngest|UpdateStream|SnapshotSeries|DeltaOracle'
 
   step "TSan: perf_pipeline smoke (MANRS_SCALE=tiny)"
   # MANRS_SERIES_DAYS caps the snapshot_series stage (default 64 days)
