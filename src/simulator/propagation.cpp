@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -137,23 +138,52 @@ constexpr size_t kDropPeer = 1;
 constexpr size_t kDropProvider = 2;
 
 // ---- batched lane engine ---------------------------------------------------
-// Each (AS, lane) carries one packed order key, smaller = better:
+// Each (AS, lane) carries one packed 32-bit order key, smaller = better
+// under unsigned comparison:
 //
-//     [63:56] priority   [55:32] distance   [31:0] next-hop id
+//     [31:30] priority   [29:h] distance   [h-1:0] next-hop id
 //
-// with priority 0 = origin, 1 = customer, 2 = peer, 3 = provider. Unlike
-// the single-origin phase 3 (which pins phase-1/2 seeds at key 0), the
+// with priority 0 = origin, 1 = customer, 2 = peer, 3 = provider and
+// h = std::bit_width(n) (PropagationSim::lane_hop_bits_), so every dense
+// id fits the hop field and none fills it with ones. Unlike the
+// single-origin phase 3 (which pins phase-1/2 seeds at key 0), the
 // priority field makes the phase interactions fall out of one min-fold:
 // a provider candidate can never displace a customer/peer/origin key, and
-// a peer candidate can never displace a customer key. Unseen is the max
-// *signed* 64-bit value so the fold's compare is sign-agnostic (every
-// valid key has priority <= 3, well below 2^59) and the per-lane loop
-// auto-vectorizes with either signed or unsigned compares.
-constexpr uint64_t kLaneUnseen = 0x7fffffffffffffffull;
-constexpr uint64_t kLaneCustomerPrio = 1ull << 56;
-constexpr uint64_t kLanePeerPrio = 2ull << 56;
-constexpr uint64_t kLaneProviderPrio = 3ull << 56;
-constexpr uint64_t kLaneDistMask = 0xffffffull;
+// a peer candidate can never displace a customer key. Unseen is all ones;
+// require_lane_distance_fits() keeps every route distance below the
+// all-ones distance, so no valid key equals kLaneUnseen and a +1 on the
+// distance field never carries into the priority.
+constexpr uint32_t kLaneUnseen = 0xffffffffu;
+constexpr int kLanePrioShift = 30;
+constexpr uint32_t kLaneCustomerPrio = 1u << kLanePrioShift;
+constexpr uint32_t kLanePeerPrio = 2u << kLanePrioShift;
+constexpr uint32_t kLaneProviderPrio = 3u << kLanePrioShift;
+
+/// Result-word source field by lane-key priority (0 = origin: only the
+/// origin holds key 0).
+constexpr std::array<uint32_t, 4> kLaneSourceBits = {
+    PropagationResult::pack(RouteSource::kOrigin, 0),
+    PropagationResult::pack(RouteSource::kCustomer, 0),
+    PropagationResult::pack(RouteSource::kPeer, 0),
+    PropagationResult::pack(RouteSource::kProvider, 0),
+};
+
+/// The distance field [29:h] of a lane key with `hop_bits` = h.
+constexpr uint32_t lane_dist_field(int hop_bits) {
+  return ((1u << kLanePrioShift) - 1) & ~((1u << hop_bits) - 1);
+}
+
+/// Throws std::length_error when a route distance of `bound` hops does not
+/// fit the distance field next to `hop_bits`-bit next-hop ids with the
+/// all-ones distance reserved.
+void require_lane_distance_fits(int hop_bits, uint32_t bound) {
+  const uint32_t all_ones = lane_dist_field(hop_bits) >> hop_bits;
+  if (bound >= all_ones) {
+    throw std::length_error(
+        "PropagationSim: route distances overflow the lane key's distance "
+        "field");
+  }
+}
 
 constexpr uint32_t kUnreachedWord =
     PropagationResult::pack(RouteSource::kNone, PropagationResult::kNoRoute);
@@ -276,6 +306,7 @@ PropagationSim::PropagationSim(const astopo::AsGraph& graph)
     : indexer_(graph), state_(std::make_unique<State>()) {
   const size_t n = indexer_.size();
   policies_.resize(n);
+  lane_hop_bits_ = static_cast<int>(std::bit_width(n));
 
   // CSR adjacency, built in one counting pass + one fill pass per role.
   // graph neighbor lists hold ASNs; ids are ASN-ascending, so sorting the
@@ -313,26 +344,39 @@ PropagationSim::PropagationSim(const astopo::AsGraph& graph)
 }
 
 // Provider-before-customer topological order (Kahn over the p2c DAG),
-// seeded in ascending id order so the order is deterministic. Re-run by
-// apply_delta() after edge growth.
+// seeded in ascending id order so the order is deterministic, and the
+// lane keys' route-distance bound. Re-run by apply_delta() after edge
+// growth.
 void PropagationSim::rebuild_descent_order() {
   const size_t n = indexer_.size();
   descent_order_.clear();
   descent_order_.reserve(n);
   std::vector<uint32_t> pending(n);
+  std::vector<uint32_t> depth(n, 0);  // longest p2c chain from a root
   for (size_t i = 0; i < n; ++i) {
     pending[i] = providers_.offsets[i + 1] - providers_.offsets[i];
     if (pending[i] == 0) descent_order_.push_back(static_cast<int32_t>(i));
   }
+  uint32_t longest_chain = 0;
   for (size_t head = 0; head < descent_order_.size(); ++head) {
     const int32_t u = descent_order_[head];
+    const uint32_t below = depth[static_cast<size_t>(u)] + 1;
     const int32_t* e = customers_.begin(u);
     const int32_t* const e_end = customers_.end(u);
     for (; e != e_end; ++e) {
-      if (--pending[static_cast<size_t>(*e)] == 0) descent_order_.push_back(*e);
+      const size_t c = static_cast<size_t>(*e);
+      depth[c] = std::max(depth[c], below);
+      longest_chain = std::max(longest_chain, below);
+      if (--pending[c] == 0) descent_order_.push_back(*e);
     }
   }
   descent_is_dag_ = descent_order_.size() == n;
+  // A valley-free route climbs at most one p2c chain, takes at most one
+  // peer hop and descends at most one chain; with a p2c cycle only
+  // simplicity bounds it.
+  lane_dist_bound_ = descent_is_dag_
+                         ? 2 * longest_chain + 1
+                         : static_cast<uint32_t>(n > 0 ? n - 1 : 0);
   if (!descent_is_dag_) {
     for (size_t i = 0; i < n; ++i) {
       if (pending[i] != 0) descent_order_.push_back(static_cast<int32_t>(i));
@@ -492,7 +536,7 @@ SimDeltaStats PropagationSim::apply_delta(const SimDelta& delta) {
 
   // The priority field of the packed order key the lane engine folds
   // over (priority, distance, next hop) for a route learned from `src`.
-  auto prio_of = [](RouteSource src) -> uint64_t {
+  auto prio_of = [](RouteSource src) -> uint32_t {
     switch (src) {
       case RouteSource::kOrigin:
         return 0;
@@ -524,7 +568,7 @@ SimDeltaStats PropagationSim::apply_delta(const SimDelta& delta) {
     // Offer across one direction: `restricted` is the valley-free export
     // rule (only origin/customer routes go to peers and providers);
     // `drop_at_to` is the receiver's ingress filter for this adjacency.
-    auto offer_beats = [&](int32_t from, int32_t to, uint64_t prio,
+    auto offer_beats = [&](int32_t from, int32_t to, uint32_t prio,
                            const uint64_t* drop_at_to, bool restricted) {
       const RouteSource src = res.source(from);
       if (src == RouteSource::kNone) return false;
@@ -538,7 +582,7 @@ SimDeltaStats PropagationSim::apply_delta(const SimDelta& delta) {
       // are read only when the priorities tie.
       const RouteSource have = res.source(to);
       if (have == RouteSource::kNone) return true;
-      const uint64_t have_prio = prio_of(have);
+      const uint32_t have_prio = prio_of(have);
       if (prio != have_prio) return prio < have_prio;
       const uint32_t cand_dist = res.distance(from) + 1u;
       const uint32_t have_dist = res.distance(to);
@@ -890,29 +934,26 @@ namespace {
 // skipped when lane l never reached u or v's policy drops this class on
 // provider adjacencies; v keeps the minimum of its own key and every
 // candidate. The distance field is extracted by masking (all route keys
-// keep it in bits [55:32]); the +1 cannot carry into the priority byte
-// (2^24-hop paths don't exist). Returns whether any lane of v improved
-// -- only consulted when the p2c graph has a cycle. All key values fit
-// in 62 bits (kLaneUnseen is int64 max), so the signed AVX2 compares
-// agree with the scalar unsigned ones.
-constexpr uint64_t kLaneDistField = kLaneDistMask << 32;
-
+// keep it in bits [29:h]); the +1 cannot carry into the priority bits
+// (require_lane_distance_fits). Returns whether any lane of v improved --
+// only consulted when the p2c graph has a cycle.
 bool pull_providers_scalar(const int32_t* p, const int32_t* const p_end,
-                           const uint64_t* key, uint64_t* kv, size_t W,
-                           uint64_t drop) {
-  uint64_t any = 0;
+                           const uint32_t* key, uint32_t* kv, size_t W,
+                           uint64_t drop, int hop_bits) {
+  const uint32_t dist_field = lane_dist_field(hop_bits);
+  const uint32_t step = 1u << hop_bits;
+  uint32_t any = 0;
   for (; p != p_end; ++p) {
-    const uint64_t* const ku = key + static_cast<size_t>(*p) * W;
-    const uint64_t base = kLaneProviderPrio | static_cast<uint32_t>(*p);
+    const uint32_t* const ku = key + static_cast<size_t>(*p) * W;
+    const uint32_t base = kLaneProviderPrio | static_cast<uint32_t>(*p);
     for (size_t l = 0; l < W; ++l) {
-      const uint64_t k_u = ku[l];
-      const uint64_t cand = ((k_u & kLaneDistField) + (1ull << 32)) | base;
+      const uint32_t k_u = ku[l];
+      const uint32_t cand = ((k_u & dist_field) + step) | base;
       const bool blocked = k_u == kLaneUnseen || ((drop >> l) & 1) != 0;
-      const uint64_t offer = blocked ? kLaneUnseen : cand;
-      const uint64_t have = kv[l];
-      const uint64_t take = static_cast<uint64_t>(offer < have);
-      kv[l] = take != 0 ? offer : have;
-      any |= take;
+      const uint32_t offer = blocked ? kLaneUnseen : cand;
+      const uint32_t have = kv[l];
+      any |= static_cast<uint32_t>(offer < have);
+      kv[l] = std::min(have, offer);
     }
   }
   return any != 0;
@@ -921,56 +962,126 @@ bool pull_providers_scalar(const int32_t* p, const int32_t* const p_end,
 #if defined(__GNUC__) && defined(__x86_64__)
 #define MANRS_LANES_AVX2 1
 
-// 4-wide variant: v's lane block is folded group by group, with the
+// 8-wide variant: v's lane block is folded group by group, with the
 // whole provider list folded in registers before each group is stored
-// back once. Requires W % 4 == 0 (a vector tail would read into the
-// next AS's lanes).
+// back once. A blocked lane ORs its candidate up to all ones (unseen), so
+// each provider costs one unsigned min. Requires W % 8 == 0 (a vector
+// tail would read into the next AS's lanes).
 __attribute__((target("avx2"))) bool pull_providers_avx2(
     const int32_t* const p_begin, const int32_t* const p_end,
-    const uint64_t* key, uint64_t* kv, size_t W, uint64_t drop) {
-  const __m256i unseen =
-      _mm256_set1_epi64x(static_cast<long long>(kLaneUnseen));
-  const __m256i distfield =
-      _mm256_set1_epi64x(static_cast<long long>(kLaneDistField));
-  const __m256i step = _mm256_set1_epi64x(1ll << 32);
-  const __m256i one = _mm256_set1_epi64x(1);
-  const __m256i lane_shift = _mm256_set_epi64x(3, 2, 1, 0);
+    const uint32_t* key, uint32_t* kv, size_t W, uint64_t drop,
+    int hop_bits) {
+  const __m256i unseen = _mm256_set1_epi32(-1);
+  const __m256i dist_field =
+      _mm256_set1_epi32(static_cast<int>(lane_dist_field(hop_bits)));
+  const __m256i step = _mm256_set1_epi32(1 << hop_bits);
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i lane_shift = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   __m256i any = _mm256_setzero_si256();
   // The __m256i* casts below are the x86 intrinsic load/store idiom over
   // the lane-key array; __m256i aliases any object type by design.
-  for (size_t g = 0; g < W; g += 4) {
-    __m256i have = _mm256_loadu_si256(
+  for (size_t g = 0; g < W; g += 8) {
+    const __m256i before = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(kv + g));  // lint-ok: intrinsic load
+    __m256i have = before;
     // Dropped lanes (rare: only filtered classes set bits) force the
     // candidate to unseen via the expanded mask.
     __m256i dropmask = _mm256_setzero_si256();
-    if (drop != 0) {
+    const uint32_t group_drop = static_cast<uint32_t>(drop >> g) & 0xffu;
+    if (group_drop != 0) {
       const __m256i bits = _mm256_and_si256(
-          _mm256_srlv_epi64(
-              _mm256_set1_epi64x(static_cast<long long>(drop >> g)),
-              lane_shift),
+          _mm256_srlv_epi32(
+              _mm256_set1_epi32(static_cast<int>(group_drop)), lane_shift),
           one);
-      dropmask = _mm256_cmpeq_epi64(bits, one);
+      dropmask = _mm256_cmpeq_epi32(bits, one);
     }
     for (const int32_t* p = p_begin; p != p_end; ++p) {
-      const uint64_t* const ku = key + static_cast<size_t>(*p) * W;
+      const uint32_t* const ku = key + static_cast<size_t>(*p) * W;
       const __m256i k_u = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(ku + g));  // lint-ok: intrinsic load
-      const __m256i base = _mm256_set1_epi64x(static_cast<long long>(
+      const __m256i base = _mm256_set1_epi32(static_cast<int>(
           kLaneProviderPrio | static_cast<uint32_t>(*p)));
       const __m256i cand = _mm256_or_si256(
-          _mm256_add_epi64(_mm256_and_si256(k_u, distfield), step), base);
+          _mm256_add_epi32(_mm256_and_si256(k_u, dist_field), step), base);
       const __m256i blocked =
-          _mm256_or_si256(_mm256_cmpeq_epi64(k_u, unseen), dropmask);
-      const __m256i offer = _mm256_blendv_epi8(cand, unseen, blocked);
-      const __m256i take = _mm256_cmpgt_epi64(have, offer);
-      have = _mm256_blendv_epi8(have, offer, take);
-      any = _mm256_or_si256(any, take);
+          _mm256_or_si256(_mm256_cmpeq_epi32(k_u, unseen), dropmask);
+      have = _mm256_min_epu32(have, _mm256_or_si256(cand, blocked));
     }
+    any = _mm256_or_si256(any, _mm256_xor_si256(have, before));
     _mm256_storeu_si256(
         reinterpret_cast<__m256i*>(kv + g), have);  // lint-ok: intrinsic store
   }
   return _mm256_testz_si256(any, any) == 0;
+}
+
+// Key -> result-word decode for lane blocks of 8: eight ASes' keys of
+// one lane group are decoded in registers (the source table is a
+// permute), transposed 8 x 8, and stored as eight consecutive words to
+// each of the group's lane streams. Requires W % 8 == 0; returns how many
+// leading ASes it decoded (whole blocks of 8), leaving the rest to the
+// scalar loop.
+__attribute__((target("avx2"))) size_t decode_lanes_avx2(
+    const uint32_t* key, size_t n, size_t W, uint32_t hop_mask,
+    uint32_t* const* words_of) {
+  const __m256i table =
+      _mm256_setr_epi32(static_cast<int>(kLaneSourceBits[0]),
+                        static_cast<int>(kLaneSourceBits[1]),
+                        static_cast<int>(kLaneSourceBits[2]),
+                        static_cast<int>(kLaneSourceBits[3]), 0, 0, 0, 0);
+  const __m256i hop = _mm256_set1_epi32(static_cast<int>(hop_mask));
+  const __m256i unseen = _mm256_set1_epi32(-1);
+  const __m256i unreached =
+      _mm256_set1_epi32(static_cast<int>(kUnreachedWord));
+  const size_t blocks_end = n & ~size_t{7};
+  for (size_t i = 0; i < blocks_end; i += 8) {
+    for (size_t g = 0; g < W; g += 8) {
+      __m256i r[8];  // r[j]: AS i + j, lanes g .. g + 7
+      for (size_t j = 0; j < 8; ++j) {
+        const uint32_t* const kj = key + (i + j) * W + g;
+        const __m256i k = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(kj));  // lint-ok: intrinsic load
+        const __m256i word = _mm256_or_si256(
+            _mm256_permutevar8x32_epi32(table,
+                                        _mm256_srli_epi32(k, kLanePrioShift)),
+            _mm256_and_si256(k, hop));
+        r[j] = _mm256_blendv_epi8(word, unreached,
+                                  _mm256_cmpeq_epi32(k, unseen));
+      }
+      const __m256i t0 = _mm256_unpacklo_epi32(r[0], r[1]);
+      const __m256i t1 = _mm256_unpackhi_epi32(r[0], r[1]);
+      const __m256i t2 = _mm256_unpacklo_epi32(r[2], r[3]);
+      const __m256i t3 = _mm256_unpackhi_epi32(r[2], r[3]);
+      const __m256i t4 = _mm256_unpacklo_epi32(r[4], r[5]);
+      const __m256i t5 = _mm256_unpackhi_epi32(r[4], r[5]);
+      const __m256i t6 = _mm256_unpacklo_epi32(r[6], r[7]);
+      const __m256i t7 = _mm256_unpackhi_epi32(r[6], r[7]);
+      const __m256i u0 = _mm256_unpacklo_epi64(t0, t2);
+      const __m256i u1 = _mm256_unpackhi_epi64(t0, t2);
+      const __m256i u2 = _mm256_unpacklo_epi64(t1, t3);
+      const __m256i u3 = _mm256_unpackhi_epi64(t1, t3);
+      const __m256i u4 = _mm256_unpacklo_epi64(t4, t6);
+      const __m256i u5 = _mm256_unpackhi_epi64(t4, t6);
+      const __m256i u6 = _mm256_unpacklo_epi64(t5, t7);
+      const __m256i u7 = _mm256_unpackhi_epi64(t5, t7);
+      // lane[l]: lane g + l, ASes i .. i + 7
+      const __m256i lane[8] = {
+          _mm256_permute2x128_si256(u0, u4, 0x20),
+          _mm256_permute2x128_si256(u1, u5, 0x20),
+          _mm256_permute2x128_si256(u2, u6, 0x20),
+          _mm256_permute2x128_si256(u3, u7, 0x20),
+          _mm256_permute2x128_si256(u0, u4, 0x31),
+          _mm256_permute2x128_si256(u1, u5, 0x31),
+          _mm256_permute2x128_si256(u2, u6, 0x31),
+          _mm256_permute2x128_si256(u3, u7, 0x31),
+      };
+      for (size_t l = 0; l < 8; ++l) {
+        // lint-ok: intrinsic store
+        __m256i* const out = reinterpret_cast<__m256i*>(words_of[g + l] + i);
+        _mm256_storeu_si256(out, lane[l]);
+      }
+    }
+  }
+  return blocks_end;
 }
 
 const bool kHaveAvx2 = __builtin_cpu_supports("avx2") != 0;
@@ -1025,7 +1136,7 @@ void PropagationSim::propagate_lanes(const int32_t* origin_ids,
 
   for (size_t l = 0; l < W; ++l) ws.seed_origin(origin_ids[l], l);
 
-  uint64_t* const key = ws.key.data();
+  uint32_t* const key = ws.key.data();
   uint64_t* const fmask = ws.fmask.data();
   uint64_t* const cmask = ws.cmask.data();
   uint64_t* const cust_mask = ws.cust_mask.data();
@@ -1033,42 +1144,47 @@ void PropagationSim::propagate_lanes(const int32_t* origin_ids,
   const uint64_t* const drop_cust = ws.drop_cust.data();
   const uint64_t* const drop_peer = ws.drop_peer.data();
   const uint64_t* const drop_prov = ws.drop_prov.data();
+  const int hop_bits = lane_hop_bits_;
+  const uint32_t dist_field = lane_dist_field(hop_bits);
+  const uint32_t dist_step = 1u << hop_bits;
+#ifdef MANRS_LANES_AVX2
+  const bool use_avx2 = kHaveAvx2 && W % 8 == 0;
+#endif
 
   // ---- Phase 1: customer routes climb provider edges -------------------
   // Level-synchronous BFS over (AS, lane) pairs. A level-d frontier AS
   // offers the lane-invariant candidate (customer | d+1 | u) to each
   // provider; min-fold matches the single engine exactly: first install
   // wins the lane, same-level revisits can only lower the next-hop id
-  // (the hop field is the low 32 bits), and earlier-level keys always
+  // (the hop field is the low h bits), and earlier-level keys always
   // compare smaller. Next-level membership accumulates in cmask so a
   // frontier AS re-offered *during* its own level keeps its current mask.
   {
     std::vector<int32_t>& cur = ws.frontier;
     std::vector<int32_t>& nxt = ws.next;
-    uint64_t level = 0;
+    uint32_t level = 0;
     while (!cur.empty()) {
       nxt.clear();
-      const uint64_t cand_base = kLaneCustomerPrio | ((level + 1) << 32);
+      const uint32_t cand_base = kLaneCustomerPrio | ((level + 1) << hop_bits);
       for (const int32_t u : cur) {
         const uint64_t m = fmask[static_cast<size_t>(u)];
         fmask[static_cast<size_t>(u)] = 0;
-        const uint64_t cand = cand_base | static_cast<uint32_t>(u);
+        const uint32_t cand = cand_base | static_cast<uint32_t>(u);
         const int32_t* e = providers_.begin(u);
         const int32_t* const e_end = providers_.end(u);
         for (; e != e_end; ++e) {
           const size_t v = static_cast<size_t>(*e);
           uint64_t active = m & ~drop_cust[v];
           if (active == 0) continue;
-          uint64_t* const kv = key + v * W;
+          uint32_t* const kv = key + v * W;
           uint64_t newbits = 0;
           do {
             const size_t l = static_cast<size_t>(__builtin_ctzll(active));
             active &= active - 1;
             // Branch-free: cand < kLaneUnseen always, so an unseen lane
             // both takes the candidate and records first-install.
-            const uint64_t have = kv[l];
-            const uint64_t take = static_cast<uint64_t>(cand < have);
-            kv[l] = take != 0 ? cand : have;
+            const uint32_t have = kv[l];
+            kv[l] = std::min(have, cand);
             newbits |= static_cast<uint64_t>(have == kLaneUnseen) << l;
           } while (active != 0);
           if (newbits != 0) {
@@ -1100,21 +1216,21 @@ void PropagationSim::propagate_lanes(const int32_t* origin_ids,
   for (size_t t = 0; t < phase1_touched; ++t) {
     const int32_t u = ws.touched[t];
     const uint64_t m = cust_mask[static_cast<size_t>(u)];
-    const uint64_t* const ku = key + static_cast<size_t>(u) * W;
+    const uint32_t* const ku = key + static_cast<size_t>(u) * W;
     const int32_t* e = peers_.begin(u);
     const int32_t* const e_end = peers_.end(u);
     for (; e != e_end; ++e) {
       const size_t v = static_cast<size_t>(*e);
       uint64_t active = m & ~drop_peer[v];
       if (active == 0) continue;
-      uint64_t* const kv = key + v * W;
+      uint32_t* const kv = key + v * W;
       do {
         const size_t l = static_cast<size_t>(__builtin_ctzll(active));
         active &= active - 1;
-        const uint64_t dist1 = ((ku[l] >> 32) & kLaneDistMask) + 1;
-        const uint64_t cand =
-            kLanePeerPrio | (dist1 << 32) | static_cast<uint32_t>(u);
-        const uint64_t have = kv[l];
+        const uint32_t cand = kLanePeerPrio |
+                              ((ku[l] & dist_field) + dist_step) |
+                              static_cast<uint32_t>(u);
+        const uint32_t have = kv[l];
         if (have == kLaneUnseen) {
           kv[l] = cand;
           if (reach_mask[v] == 0) ws.touched.push_back(static_cast<int32_t>(v));
@@ -1141,62 +1257,50 @@ void PropagationSim::propagate_lanes(const int32_t* origin_ids,
   // reaches; one topological pass suffices on a DAG, and the rare cyclic
   // graph re-runs the pass until no key improves.
   {
-#ifdef MANRS_LANES_AVX2
-    const bool use_avx2 = kHaveAvx2 && W % 4 == 0;
-#endif
     for (;;) {
       bool changed = false;
       for (const int32_t vi : descent_order_) {
         const int32_t* const p = providers_.begin(vi);
         const int32_t* const p_end = providers_.end(vi);
         if (p == p_end) continue;
-        uint64_t* const kv = key + static_cast<size_t>(vi) * W;
+        uint32_t* const kv = key + static_cast<size_t>(vi) * W;
         const uint64_t drop = drop_prov[static_cast<size_t>(vi)];
 #ifdef MANRS_LANES_AVX2
         if (use_avx2) {
-          changed |= pull_providers_avx2(p, p_end, key, kv, W, drop);
+          changed |= pull_providers_avx2(p, p_end, key, kv, W, drop, hop_bits);
           continue;
         }
 #endif
-        changed |= pull_providers_scalar(p, p_end, key, kv, W, drop);
+        changed |= pull_providers_scalar(p, p_end, key, kv, W, drop, hop_bits);
       }
       if (descent_is_dag_ || !changed) break;
     }
   }
 
-  // Materialize every lane's dense result, lane-major within AS tiles:
-  // one lane's writes stream sequentially while its strided key reads
-  // stay inside a tile small enough to live in L2 across all lane
-  // passes. The decode is branch-free: the priority byte indexes a table
-  // of pre-shifted source fields (0 = origin since only the origin holds
-  // key 0; 0x7f = kLaneUnseen's top byte = unreached), and the low word
-  // masked to 29 bits is the hop field (kLaneUnseen's low word masks to
-  // kHopNone). Only the origin's word needs patching afterwards (key 0
-  // decodes as hop 0, not kHopNone).
-  static constexpr std::array<uint32_t, 128> kSourceBitsOfPrio = [] {
-    std::array<uint32_t, 128> t{};
-    t.fill(PropagationResult::pack(RouteSource::kNone, 0));
-    t[0] = PropagationResult::pack(RouteSource::kOrigin, 0);
-    t[1] = PropagationResult::pack(RouteSource::kCustomer, 0);
-    t[2] = PropagationResult::pack(RouteSource::kPeer, 0);
-    t[3] = PropagationResult::pack(RouteSource::kProvider, 0);
-    return t;
-  }();
-  uint32_t* words_of[kMaxBatchLanes];
+  // Materialize every lane's dense result. The key block is read in
+  // order, one AS's lanes at a time; the W write streams each advance one
+  // word per AS (eight per AVX2 block). The priority bits index
+  // kLaneSourceBits, the low h bits are the hop, and unseen keys
+  // (priority 3, like provider routes) decode as unreached. Only the
+  // origin's word needs patching afterwards (key 0 decodes as hop 0, not
+  // kHopNone).
+  const uint32_t hop_mask = dist_step - 1;
+  uint32_t* words_of[kMaxBatchLanes] = {};
   for (size_t l = 0; l < W; ++l) {
     results[l]->words.resize(n);
     words_of[l] = results[l]->words.data();
   }
-  constexpr size_t kTile = 1024;  // x 512B lane block = 512KB, L2-sized
-  for (size_t base = 0; base < n; base += kTile) {
-    const size_t lim = std::min(n, base + kTile);
+  size_t decoded = 0;
+#ifdef MANRS_LANES_AVX2
+  if (use_avx2) decoded = decode_lanes_avx2(key, n, W, hop_mask, words_of);
+#endif
+  for (size_t i = decoded; i < n; ++i) {
+    const uint32_t* const ki = key + i * W;
     for (size_t l = 0; l < W; ++l) {
-      uint32_t* const words = words_of[l];
-      for (size_t i = base; i < lim; ++i) {
-        const uint64_t k = key[i * W + l];
-        words[i] = kSourceBitsOfPrio[k >> 56] |
-                   (static_cast<uint32_t>(k) & PropagationResult::kHopNone);
-      }
+      const uint32_t k = ki[l];
+      const uint32_t word =
+          kLaneSourceBits[k >> kLanePrioShift] | (k & hop_mask);
+      words_of[l][i] = k == kLaneUnseen ? kUnreachedWord : word;
     }
   }
   for (size_t l = 0; l < W; ++l) {
@@ -1225,6 +1329,7 @@ std::vector<PropagationResult> PropagationSim::propagate_batch(
     }
   }
   if (live.empty()) return out;
+  require_lane_distance_fits(lane_hop_bits_, lane_dist_bound_);
   ensure_masks();  // class_index reads the lazily built variant-slot count
 
   const size_t width = batch_width();
@@ -1339,6 +1444,7 @@ std::vector<PropagationResultPtr> PropagationSim::propagate_cached(
     st.hits.fetch_add(hit_count, std::memory_order_relaxed);
   }
   if (pending.empty()) return out;
+  require_lane_distance_fits(lane_hop_bits_, lane_dist_bound_);
 
   // Chunk the misses into lane sweeps and fan the sweeps out over the
   // pool; each worker reuses one thread-local lane workspace.

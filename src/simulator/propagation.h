@@ -43,11 +43,12 @@
 //     propagation per group -- and letting classes no policy tells apart
 //     collapse onto a single cache entry;
 //   * propagate_batch() runs up to kMaxBatchLanes origins per sweep over
-//     a struct-of-arrays lane block (one packed order key per (AS, lane),
-//     contiguous per AS), so one pass over the CSR adjacency serves the
-//     whole batch and the per-edge fold vectorizes across lanes; the
-//     batched propagate_cached() overload groups pending (origin,
-//     signature) misses into such sweeps;
+//     a struct-of-arrays lane block (one packed 32-bit order key per (AS,
+//     lane): priority, distance and next-hop id, contiguous per AS), so
+//     one pass over the CSR adjacency serves the whole batch and the
+//     descent's fold is one unsigned min per 8 lanes (AVX2); the batched
+//     propagate_cached() overload groups pending (origin, signature)
+//     misses into such sweeps;
 //   * extract_paths() reconstructs per-vantage AS paths into a reusable
 //     PathArena with a per-AS suffix memo, returning non-owning PathViews
 //     instead of one heap AsPath per vantage.
@@ -331,7 +332,7 @@ size_t batch_width();
 void set_batch_width(size_t width);
 
 /// Reusable scratch for one batched sweep (propagate_batch): per-AS lane
-/// state as struct-of-arrays. The packed 8-byte order keys of all lanes of
+/// state as struct-of-arrays. The packed 4-byte order keys of all lanes of
 /// one AS are contiguous (`key[v * lanes + l]`), so the descent's
 /// min-fold runs over a dense block per edge visit; frontier membership,
 /// drop filters, and change tracking are one 64-bit lane mask per AS.
@@ -342,7 +343,7 @@ struct BatchWorkspace {
   size_t n = 0;      // ASes (dense-id space)
   size_t lanes = 0;  // active lanes this sweep, <= kMaxBatchLanes
 
-  std::vector<uint64_t> key;  // n * lanes packed order keys, SoA per AS
+  std::vector<uint32_t> key;  // n * lanes packed order keys, SoA per AS
   // Per-AS lane masks.
   std::vector<uint64_t> cust_mask;   // lanes holding a customer/origin route
   std::vector<uint64_t> reach_mask;  // lanes routed after phases 1-2
@@ -475,12 +476,17 @@ class PropagationSim {
   /// pointer per request (slot i answers requests[i]). Per-lane results
   /// are byte-identical to the single-origin engine at any width. Unknown
   /// origins yield the all-none result, like the single-origin overload.
+  /// Throws std::length_error, as propagate_batch does, when a sweep is
+  /// needed and route distances could overflow the lane keys.
   std::vector<PropagationResultPtr> propagate_cached(
       const std::vector<PropagationRequest>& requests) const;
 
   /// Uncached batched propagation (the raw lane engine): slot i answers
   /// requests[i], chunked into sweeps of batch_width() lanes. The
-  /// workspace overload reuses caller scratch.
+  /// workspace overload reuses caller scratch. Throws std::length_error
+  /// when the graph's route-distance bound (2 x the longest p2c chain + 1,
+  /// or n - 1 with a p2c cycle) does not fit the lane key's distance field
+  /// of 30 - std::bit_width(n) bits.
   std::vector<PropagationResult> propagate_batch(
       const std::vector<PropagationRequest>& requests) const;
   std::vector<PropagationResult> propagate_batch(
@@ -536,8 +542,8 @@ class PropagationSim {
   struct State;
 
   void ensure_masks() const;
-  /// Recompute descent_order_/descent_is_dag_ from the current CSRs
-  /// (construction and after apply_delta() edge growth).
+  /// Recompute descent_order_, descent_is_dag_ and lane_dist_bound_ from
+  /// the current CSRs (construction and after apply_delta() edge growth).
   void rebuild_descent_order();
   size_t class_index(const AnnouncementClass& cls) const;
   const uint64_t* mask_for(size_t cls_index, size_t adjacency) const;
@@ -546,7 +552,8 @@ class PropagationSim {
                                  PropagationWorkspace& ws) const;
   /// One batched sweep: lane l propagates origin_ids[l] under class index
   /// cls_indices[l]; results[l] receives lane l's dense result. Callers
-  /// guarantee lanes <= kMaxBatchLanes, valid ids, and ensure_masks().
+  /// guarantee lanes <= kMaxBatchLanes, valid ids, ensure_masks(), and
+  /// that lane_dist_bound_ fits the lane key's distance field.
   void propagate_lanes(const int32_t* origin_ids, const size_t* cls_indices,
                        size_t lanes, BatchWorkspace& ws,
                        PropagationResult* const* results) const;
@@ -563,6 +570,13 @@ class PropagationSim {
   // leftover ids and the descent iterates to the fixpoint instead.
   std::vector<int32_t> descent_order_;
   bool descent_is_dag_ = true;
+  // Lane-key layout: the next-hop field is std::bit_width(n) bits, the
+  // distance field the rest below the 2 priority bits. lane_dist_bound_
+  // bounds every route distance: 2 x the longest p2c chain + 1 on a DAG,
+  // n - 1 otherwise. Batched propagation throws std::length_error when it
+  // does not fit the distance field.
+  int lane_hop_bits_ = 0;
+  uint32_t lane_dist_bound_ = 0;
   std::vector<FilterPolicy> policies_;
   std::unique_ptr<State> state_;
 };

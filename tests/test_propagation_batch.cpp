@@ -5,9 +5,10 @@
 //   * PropagationBatch: the lane engine (propagate_batch) must equal the
 //     single-origin engine result-for-result at every lane width -- 1,
 //     a non-power-of-two, the full 64, and a width larger than the
-//     request count -- and the batched propagate_cached() front end must
-//     share memo entries (and hit/miss accounting) with the single-call
-//     overload.
+//     request count -- also on a p2c cycle and on a chain at the edge of
+//     the lane key's distance field (deeper ones must throw), and the
+//     batched propagate_cached() front end must share memo entries (and
+//     hit/miss accounting) with the single-call overload.
 //   * PropagationBatchPaths: extract_paths() views must match path_from
 //     hop-for-hop, including no-route vantages, the origin itself, and
 //     unknown ASNs, while the arena's suffix memo actually shares hops.
@@ -22,6 +23,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -310,6 +312,117 @@ TEST(PropagationBatch, UnknownOriginYieldsAllNone) {
     EXPECT_EQ(lanes[0].next_hop(i), PropagationResult::kNoRoute);
     EXPECT_EQ(cached[0]->source(i), sim::RouteSource::kNone);
   }
+}
+
+TEST(PropagationBatch, CyclicHierarchyMatchesSingle) {
+  // A p2c cycle 110 -> 111 -> 112 -> 113 -> 110 (provider -> customer)
+  // fed from above at 113 and 111, with customers, peers and filtering
+  // ASes around it. The descent order cannot be topological here, so the
+  // lane engine iterates its pass to the fixpoint; every lane must still
+  // equal the single-origin engine, at scalar and vector widths.
+  EngineKnobGuard guard;
+  AsGraph graph;
+  auto p2c = [&](uint32_t provider, uint32_t customer) {
+    graph.add_provider_customer(Asn(provider), Asn(customer));
+  };
+  p2c(100, 102);
+  p2c(101, 103);
+  p2c(101, 104);
+  p2c(110, 111);
+  p2c(111, 112);
+  p2c(112, 113);
+  p2c(113, 110);
+  p2c(102, 113);
+  p2c(103, 111);
+  p2c(110, 120);
+  p2c(112, 121);
+  p2c(121, 122);
+  p2c(120, 122);
+  p2c(113, 123);
+  graph.add_peer_peer(Asn(100), Asn(101));
+  graph.add_peer_peer(Asn(102), Asn(103));
+  graph.add_peer_peer(Asn(104), Asn(112));
+  graph.add_peer_peer(Asn(120), Asn(123));
+
+  PropagationSim sim(graph);
+  FilterPolicy strict_customers;
+  strict_customers.customer_strictness = sim::kFilterVariants;
+  FilterPolicy rov;
+  rov.rov = true;
+  FilterPolicy leaky_peers;
+  leaky_peers.peer_strictness = 2;
+  FilterPolicy leaky_customers;
+  leaky_customers.customer_strictness = 1;
+  sim.set_policy(Asn(110), strict_customers);
+  sim.set_policy(Asn(112), rov);
+  sim.set_policy(Asn(103), leaky_peers);
+  sim.set_policy(Asn(121), leaky_customers);
+
+  AnnouncementClass rpki_invalid;
+  rpki_invalid.rpki_invalid = true;
+  AnnouncementClass irr_invalid;
+  irr_invalid.irr_invalid = true;
+  irr_invalid.variant = 3;
+  AnnouncementClass both_invalid{true, true, 1};
+  std::vector<PropagationRequest> requests;
+  for (Asn origin : graph.all_asns()) {
+    for (const AnnouncementClass& cls :
+         {AnnouncementClass{}, rpki_invalid, irr_invalid, both_invalid}) {
+      requests.push_back(PropagationRequest{origin, cls});
+    }
+  }
+  std::vector<PropagationResult> singles;
+  for (const PropagationRequest& req : requests) {
+    singles.push_back(sim.propagate(req.origin, req.cls));
+  }
+  for (size_t width : {size_t{1}, size_t{7}, size_t{8}, size_t{64}}) {
+    sim::set_batch_width(width);
+    std::vector<PropagationResult> lanes = sim.propagate_batch(requests);
+    ASSERT_EQ(lanes.size(), requests.size());
+    for (size_t r = 0; r < requests.size(); ++r) {
+      expect_result_eq(lanes[r], singles[r], r, width);
+    }
+  }
+}
+
+TEST(PropagationBatch, DistanceFieldGuard) {
+  // 16,384 ASes need 15-bit hop ids, leaving 15 distance bits (all ones,
+  // 32,767, reserved). A p2c chain through all of them bounds route
+  // distances at 2 x 16,383 + 1 = 32,767: no fit. One AS off the chain
+  // gives 2 x 16,382 + 1 = 32,765: fits, and the lanes must equal the
+  // single-origin engine.
+  EngineKnobGuard guard;
+  constexpr uint32_t kAses = 16384;
+  auto chain = [](uint32_t chained) {
+    AsGraph graph;
+    for (uint32_t i = 0; i < kAses; ++i) graph.add_as(Asn(100 + i));
+    for (uint32_t i = 1; i < chained; ++i) {
+      graph.add_provider_customer(Asn(100 + i - 1), Asn(100 + i));
+    }
+    return graph;
+  };
+  sim::set_batch_width(8);
+  const std::vector<PropagationRequest> requests{
+      PropagationRequest{Asn(100), AnnouncementClass{}},
+      PropagationRequest{Asn(100 + kAses / 2), AnnouncementClass{}},
+      PropagationRequest{Asn(100 + kAses - 2), AnnouncementClass{}},
+      PropagationRequest{Asn(100 + kAses - 1), AnnouncementClass{}},
+  };
+
+  PropagationSim too_deep(chain(kAses));
+  EXPECT_THROW((void)too_deep.propagate_batch(requests), std::length_error);
+  EXPECT_THROW((void)too_deep.propagate_cached(requests), std::length_error);
+
+  PropagationSim fits(chain(kAses - 1));
+  std::vector<PropagationResult> lanes = fits.propagate_batch(requests);
+  ASSERT_EQ(lanes.size(), requests.size());
+  for (size_t r = 0; r < requests.size(); ++r) {
+    expect_result_eq(lanes[r], fits.propagate(requests[r].origin,
+                                              requests[r].cls),
+                     r, 8);
+  }
+  // The chain's far end is reached at distance 16,382.
+  EXPECT_EQ(lanes[0].distance(static_cast<int32_t>(kAses - 2)), kAses - 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -259,7 +259,10 @@ TEST_P(PropagationOracleP, BatchedLanesMatchOracle) {
   // batch deliberately mixes effective drop signatures: valid lanes
   // propagate unfiltered while invalid variants hit ROV / strictness
   // filters of the same policies in the same sweep, plus a duplicate
-  // (origin, class) lane pair.
+  // (origin, class) lane pair. The first ten requests run as one sweep
+  // at the default width (the scalar descent fold: 10 % 8 != 0); all 16
+  // then run as one 16-lane sweep, which takes the 8-lane vector fold
+  // wherever the CPU has it.
   util::Rng rng(GetParam() * 0x2545f4914f6cdd1dull + 1);
   size_t n = 12 + rng.uniform(24);
   AsGraph graph = random_graph(rng, n);
@@ -272,45 +275,57 @@ TEST_P(PropagationOracleP, BatchedLanesMatchOracle) {
   Asn first(100 + static_cast<uint32_t>(rng.uniform(n)));
   requests.push_back(sim::PropagationRequest{first, valid});
   requests.push_back(sim::PropagationRequest{first, valid});  // duplicate lane
-  for (int a = 0; a < 8; ++a) {
+  for (int a = 0; a < 14; ++a) {
     requests.push_back(sim::PropagationRequest{
         Asn(100 + static_cast<uint32_t>(rng.uniform(n))), random_class(rng)});
   }
 
-  sim::BatchWorkspace workspace;
-  std::vector<PropagationResult> lanes = sim.propagate_batch(requests,
-                                                             workspace);
-  ASSERT_EQ(lanes.size(), requests.size());
-  for (size_t r = 0; r < requests.size(); ++r) {
-    auto oracle = oracle_propagate(graph, policies, requests[r].origin,
-                                   requests[r].cls);
-    const PropagationResult& lane = lanes[r];
-    for (Asn asn : graph.all_asns()) {
-      int32_t id = sim.indexer().id_of(asn);
-      ASSERT_GE(id, 0);
-      auto ref = oracle.find(asn.value());
-      const bool ref_reached = ref != oracle.end();
-      ASSERT_EQ(lane.reached(id), ref_reached)
-          << "seed=" << GetParam() << " lane=" << r
-          << " origin=" << requests[r].origin.to_string()
-          << " as=" << asn.to_string();
-      if (!ref_reached) continue;
-      EXPECT_EQ(lane.source(id), ref->second.source)
-          << "lane=" << r << " as=" << asn.to_string();
-      EXPECT_EQ(lane.distance(id), ref->second.distance)
-          << "lane=" << r << " as=" << asn.to_string();
-      if (ref->second.source != RouteSource::kOrigin) {
-        ASSERT_GE(lane.next_hop(id), 0);
-        EXPECT_EQ(sim.indexer().asn_of(lane.next_hop(id)).value(),
-                  ref->second.next_hop)
-            << "seed=" << GetParam() << " lane=" << r
+  auto expect_oracle = [&](const std::vector<PropagationResult>& lanes,
+                           size_t width) {
+    for (size_t r = 0; r < lanes.size(); ++r) {
+      auto oracle = oracle_propagate(graph, policies, requests[r].origin,
+                                     requests[r].cls);
+      const PropagationResult& lane = lanes[r];
+      for (Asn asn : graph.all_asns()) {
+        int32_t id = sim.indexer().id_of(asn);
+        ASSERT_GE(id, 0);
+        auto ref = oracle.find(asn.value());
+        const bool ref_reached = ref != oracle.end();
+        ASSERT_EQ(lane.reached(id), ref_reached)
+            << "seed=" << GetParam() << " width=" << width << " lane=" << r
             << " origin=" << requests[r].origin.to_string()
             << " as=" << asn.to_string();
-      } else {
-        EXPECT_EQ(lane.next_hop(id), PropagationResult::kNoRoute);
+        if (!ref_reached) continue;
+        EXPECT_EQ(lane.source(id), ref->second.source)
+            << "width=" << width << " lane=" << r << " as=" << asn.to_string();
+        EXPECT_EQ(lane.distance(id), ref->second.distance)
+            << "width=" << width << " lane=" << r << " as=" << asn.to_string();
+        if (ref->second.source != RouteSource::kOrigin) {
+          ASSERT_GE(lane.next_hop(id), 0);
+          EXPECT_EQ(sim.indexer().asn_of(lane.next_hop(id)).value(),
+                    ref->second.next_hop)
+              << "seed=" << GetParam() << " width=" << width << " lane=" << r
+              << " origin=" << requests[r].origin.to_string()
+              << " as=" << asn.to_string();
+        } else {
+          EXPECT_EQ(lane.next_hop(id), PropagationResult::kNoRoute);
+        }
       }
     }
-  }
+  };
+
+  sim::BatchWorkspace workspace;
+  const std::vector<sim::PropagationRequest> ten(requests.begin(),
+                                                 requests.begin() + 10);
+  std::vector<PropagationResult> lanes = sim.propagate_batch(ten, workspace);
+  ASSERT_EQ(lanes.size(), ten.size());
+  expect_oracle(lanes, sim::batch_width());
+
+  sim::set_batch_width(16);
+  lanes = sim.propagate_batch(requests, workspace);
+  sim::set_batch_width(0);  // back to the environment's width
+  ASSERT_EQ(lanes.size(), requests.size());
+  expect_oracle(lanes, 16);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropagationOracleP,

@@ -155,7 +155,9 @@ TEST(DeltaOracle, MembershipArrivesInWeeklyBatches) {
   size_t prev = evo.registry_at(0).participant_count();
   for (int d = 1; d <= 28; ++d) {
     size_t now = evo.registry_at(d).participant_count();
-    if (d % 7 != 1) EXPECT_EQ(now, prev) << "day " << d;
+    if (d % 7 != 1) {
+      EXPECT_EQ(now, prev) << "day " << d;
+    }
     prev = now;
   }
 }

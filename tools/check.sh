@@ -7,7 +7,9 @@
 #   3. repeat the golden + propagation oracle/cache-equality +
 #      batched-lane-equality + streaming-ingest + snapshot-series
 #      tests across the MANRS_THREADS x MANRS_GRAIN environment matrix
-#      (byte-equality at every combination), then the ingest goldens
+#      (byte-equality at every combination), then the pipeline goldens
+#      at MANRS_BATCH_WIDTH=8 and 13 (the batched engine's vector and
+#      scalar lane paths), then the ingest goldens
 #      once more under ASan with explicit emphasis
 #      (MrtIngest/UpdateStream: block-scan stitching, mmap decode,
 #      update-stream folding), then a series-smoke stage (manrs_series
@@ -85,6 +87,21 @@ for matrix_threads in 2 4; do
       ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
         -R 'ParallelGolden|PropagationOracle|PropagationCache|PropagationBatch|PropagationResult|IrrValidate|MrtIngest|UpdateStream|SnapshotSeries|DeltaOracle'
   done
+done
+
+step "lane-width goldens (MANRS_BATCH_WIDTH=8, then 13)"
+# The pipeline goldens at the batched engine's narrowest vector width (8:
+# one 8-lane AVX2 group per AS in the descent fold and the key decode)
+# and at a width the vector path cannot take (13: the scalar fold and
+# decode on pipeline-size input). The tests read the width from the
+# environment.
+for lane_width in 8 13; do
+  echo "-- MANRS_BATCH_WIDTH=$lane_width"
+  MANRS_BATCH_WIDTH="$lane_width" \
+  ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1}" \
+  UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+      -R 'ParallelGolden|PropagationBatchGolden|SnapshotSeries'
 done
 
 step "ingest goldens under ASan (mmap + block-parallel scan + fold)"
