@@ -10,8 +10,8 @@
 //                (per-AS plans fan out; allocation + emission serial)
 //   propagation_single
 //                PropagationSim::propagate -- ONE engine call (largest
-//                group, no fan-out, serial only): the raw per-call cost
-//                of the CSR/bitmask/workspace engine, after a warmup
+//                group, no fan-out, serial only): the raw cost of a
+//                one-lane sweep of the lane engine, after a warmup
 //                call that builds the lazy drop masks
 //   propagation_batched
 //                PropagationSim::propagate_cached(requests) -- the
@@ -331,9 +331,9 @@ int main() {
 
   // --- propagation_single: one engine call, no fan-out -------------------
   // The raw per-call cost of the propagation engine on the largest
-  // group. A warmup call builds the lazy drop masks and sizes the
-  // thread-local workspace, so the timed call is the steady state the
-  // fan-out stages see.
+  // group: one one-lane sweep. A warmup call builds the lazy drop masks
+  // and sizes the thread-local lane workspace, so the timed call is the
+  // steady state.
   if (groups.empty()) {
     std::fprintf(stderr, "perf_pipeline: no announcement groups\n");
     return 1;

@@ -145,9 +145,8 @@ constexpr size_t kDropProvider = 2;
 //
 // with priority 0 = origin, 1 = customer, 2 = peer, 3 = provider and
 // h = std::bit_width(n) (PropagationSim::lane_hop_bits_), so every dense
-// id fits the hop field and none fills it with ones. Unlike the
-// single-origin phase 3 (which pins phase-1/2 seeds at key 0), the
-// priority field makes the phase interactions fall out of one min-fold:
+// id fits the hop field and none fills it with ones. The priority field
+// makes the phase interactions fall out of one min-fold:
 // a provider candidate can never displace a customer/peer/origin key, and
 // a peer candidate can never displace a customer key. Unseen is all ones;
 // require_lane_distance_fits() keeps every route distance below the
@@ -717,212 +716,6 @@ const uint64_t* PropagationSim::mask_for(size_t cls_index,
          (cls_index * 3 + adjacency) * state_->words;
 }
 
-PropagationResult PropagationSim::propagate(
-    net::Asn origin, const AnnouncementClass& cls) const {
-  // Pool workers persist across parallel_for calls, so a thread-local
-  // workspace gives every worker (and the serial caller) near-zero
-  // per-call allocation without any caller-side plumbing.
-  static thread_local PropagationWorkspace tl_workspace;
-  return propagate(origin, cls, tl_workspace);
-}
-
-PropagationResult PropagationSim::propagate(
-    net::Asn origin, const AnnouncementClass& cls,
-    PropagationWorkspace& workspace) const {
-  return propagate_id(indexer_.id_of(origin), cls, workspace);
-}
-
-PropagationResult PropagationSim::propagate_id(
-    int32_t origin_id, const AnnouncementClass& cls,
-    PropagationWorkspace& ws) const {
-  using NodeState = PropagationWorkspace::NodeState;
-  const size_t n = indexer_.size();
-  if (origin_id < 0) return unreached_result(n);
-
-  ensure_masks();
-  const size_t ci = class_index(cls);
-  const uint64_t* drop_cust = mask_for(ci, kDropCustomer);
-  const uint64_t* drop_peer = mask_for(ci, kDropPeer);
-  const uint64_t* drop_prov = mask_for(ci, kDropProvider);
-
-  ws.begin(n);
-  // The inner loops below hand-inline stamped()/install() against these
-  // locals; `node` stays valid for the whole call (no growth after begin).
-  NodeState* const node = ws.node.data();
-  const uint8_t epoch = ws.epoch;
-  ws.install(origin_id, RouteSource::kOrigin, PropagationResult::kNoRoute, 0);
-
-  // ---- Phase 1: customer routes climb provider edges -------------------
-  // BFS level by level; provider edges are id- (== ASN-) sorted and the
-  // first offer wins, so tie-breaking is deterministic. Same-level
-  // revisits can only lower the next-hop id.
-  ws.frontier.push_back(origin_id);
-  uint16_t level = 0;
-  while (!ws.frontier.empty()) {
-    ws.next.clear();
-    const uint16_t next_level = static_cast<uint16_t>(level + 1);
-    for (int32_t u : ws.frontier) {
-      const int32_t* e = providers_.begin(u);
-      const int32_t* const e_end = providers_.end(u);
-      for (; e != e_end; ++e) {
-        const int32_t v = *e;
-        NodeState& s = node[static_cast<size_t>(v)];
-        if (s.stamp == epoch) {
-          if (s.source == RouteSource::kCustomer && s.distance == next_level &&
-              u < s.next_hop) {
-            s.next_hop = u;
-          }
-          continue;
-        }
-        if (test_bit(drop_cust, v)) continue;
-        s = NodeState{u, next_level, RouteSource::kCustomer, epoch};
-        ws.touched.push_back(v);
-        ws.next.push_back(v);
-      }
-    }
-    std::swap(ws.frontier, ws.next);
-    ++level;
-  }
-
-  // ---- Phase 2: one lateral hop across peer edges ----------------------
-  // Offers come only from ASes holding customer/origin routes (exactly
-  // the touched set after phase 1); a peer route is never re-exported to
-  // peers (valley-free). The apply step keeps, per target, the minimum
-  // (distance, neighbor id) offer -- order-independent, so scanning the
-  // touched list instead of all ids changes nothing.
-  for (int32_t u : ws.touched) {
-    const uint16_t dist =
-        static_cast<uint16_t>(node[static_cast<size_t>(u)].distance + 1);
-    const int32_t* e = peers_.begin(u);
-    const int32_t* const e_end = peers_.end(u);
-    for (; e != e_end; ++e) {
-      const int32_t v = *e;
-      if (node[static_cast<size_t>(v)].stamp == epoch) continue;
-      if (test_bit(drop_peer, v)) continue;
-      ws.offers.push_back(PropagationWorkspace::PeerOffer{v, u, dist});
-    }
-  }
-  for (const auto& offer : ws.offers) {
-    NodeState& s = node[static_cast<size_t>(offer.to)];
-    if (s.stamp != epoch) {
-      s = NodeState{offer.from, offer.dist, RouteSource::kPeer, epoch};
-      ws.touched.push_back(offer.to);
-      continue;
-    }
-    if (s.source == RouteSource::kPeer &&
-        (offer.dist < s.distance ||
-         (offer.dist == s.distance && offer.from < s.next_hop))) {
-      s.next_hop = offer.from;
-      s.distance = offer.dist;
-    }
-  }
-
-  // ---- Phase 3: routes descend customer edges --------------------------
-  // Any AS holding a route exports it to customers; an AS without a
-  // better (customer/peer) route takes the shortest provider route,
-  // lowest next-hop id on ties. The descent dominates full-graph
-  // propagation (it crosses every p2c edge once), and with an
-  // unpredictable install-or-skip branch per edge it is mispredict-bound,
-  // so the inner loop is branchless instead: each AS carries one packed
-  // 64-bit order key
-  //
-  //     [63:56] priority   [55:32] distance   [31:0] next-hop id
-  //
-  // where smaller = better. Seeds from phases 1-2 and ASes whose policy
-  // drops provider routes are pinned at key 0 (never displaced); unseen
-  // ASes sit at 2^64-1; a provider-route candidate at BFS level d from
-  // parent u encodes as (1 << 56) | (d+1 << 32) | u. One conditional
-  // move takes the min, and a change bitmap accumulates the next level's
-  // frontier, so distances stay level-monotone with no stale entries.
-  // (The distance field caps path lengths at 2^24 hops; distances
-  // elsewhere are uint16 already.)
-  constexpr uint64_t kUnseenKey = ~0ull;
-  constexpr uint64_t kPinnedKey = 0ull;
-  constexpr uint64_t kProviderBit = 1ull << 56;
-  uint64_t* const key = ws.key.data();
-  uint64_t* const ch = ws.changed.data();
-  const size_t words = (n + 63) / 64;
-  std::fill(ws.key.begin(), ws.key.begin() + static_cast<ptrdiff_t>(n),
-            kUnseenKey);
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t bits = drop_prov[w];
-    while (bits != 0) {
-      const int b = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      key[(w << 6) + static_cast<size_t>(b)] = kPinnedKey;
-    }
-  }
-  uint16_t max_seed = 0;
-  for (int32_t u : ws.touched) {
-    key[static_cast<size_t>(u)] = kPinnedKey;
-    max_seed = std::max(max_seed, node[static_cast<size_t>(u)].distance);
-  }
-  if (ws.buckets.size() < static_cast<size_t>(max_seed) + 1) {
-    ws.buckets.resize(static_cast<size_t>(max_seed) + 1);
-  }
-  for (int32_t u : ws.touched) {
-    ws.buckets[node[static_cast<size_t>(u)].distance].push_back(u);
-  }
-  std::vector<int32_t>& cur = ws.frontier;
-  cur.clear();
-  for (size_t d = 0;; ++d) {
-    if (d <= max_seed && !ws.buckets[d].empty()) {
-      cur.insert(cur.end(), ws.buckets[d].begin(), ws.buckets[d].end());
-      ws.buckets[d].clear();  // consumed; keeps capacity for the next call
-    }
-    if (cur.empty()) {
-      if (d >= max_seed) break;
-      continue;
-    }
-    const uint64_t level_base = kProviderBit | ((d + 1) << 32);
-    for (int32_t u : cur) {
-      const uint64_t cand = level_base | static_cast<uint32_t>(u);
-      const int32_t* e = customers_.begin(u);
-      const int32_t* const e_end = customers_.end(u);
-      for (; e != e_end; ++e) {
-        const size_t v = static_cast<size_t>(*e);
-        const uint64_t have = key[v];
-        const bool take = cand < have;
-        key[v] = take ? cand : have;
-        ch[v >> 6] |= static_cast<uint64_t>(take) << (v & 63);
-      }
-    }
-    // The improved set is exactly the next level's frontier (a provider
-    // route installed at level d can only be re-offered longer ones).
-    cur.clear();
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t bits = ch[w];
-      if (bits == 0) continue;
-      ch[w] = 0;
-      while (bits != 0) {
-        const int b = __builtin_ctzll(bits);
-        bits &= bits - 1;
-        cur.push_back(static_cast<int32_t>((w << 6) + static_cast<size_t>(b)));
-      }
-    }
-  }
-
-  // Materialize the dense result in one sequential pass, one packed word
-  // per AS: provider routes decode from their order key, everything else
-  // (origin/customer/peer routes, and unreached ASes) reads from the
-  // stamped node state.
-  PropagationResult result;
-  result.words.resize(n);
-  uint32_t* const out = result.words.data();
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t k = key[i];
-    if ((k >> 56) == 1) {
-      out[i] = PropagationResult::pack(
-          RouteSource::kProvider, static_cast<int32_t>(static_cast<uint32_t>(k)));
-    } else if (node[i].stamp == epoch) {
-      out[i] = PropagationResult::pack(node[i].source, node[i].next_hop);
-    } else {
-      out[i] = kUnreachedWord;
-    }
-  }
-  return result;
-}
-
 namespace {
 
 // ---- Phase-3 pull fold: one AS's provider candidates -------------------
@@ -1154,7 +947,7 @@ void PropagationSim::propagate_lanes(const int32_t* origin_ids,
   // ---- Phase 1: customer routes climb provider edges -------------------
   // Level-synchronous BFS over (AS, lane) pairs. A level-d frontier AS
   // offers the lane-invariant candidate (customer | d+1 | u) to each
-  // provider; min-fold matches the single engine exactly: first install
+  // provider; the min-fold is exactly first-install BFS: first install
   // wins the lane, same-level revisits can only lower the next-hop id
   // (the hop field is the low h bits), and earlier-level keys always
   // compare smaller. Next-level membership accumulates in cmask so a
@@ -1208,8 +1001,8 @@ void PropagationSim::propagate_lanes(const int32_t* origin_ids,
   // ---- Phase 2: one lateral hop across peer edges ----------------------
   // Offers come only from lanes holding customer/origin routes (cust_mask
   // over the phase-1 touched prefix -- peer routes are never re-exported
-  // to peers). The immediate min-fold equals the single engine's
-  // collect-then-apply: the priority field rejects folds into
+  // to peers). The immediate min-fold equals collecting every offer and
+  // then applying the best: the priority field rejects folds into
   // customer-routed lanes, and min keeps the (distance, from-id) minimum
   // among peer offers. Newly reached ASes extend the touched list.
   const size_t phase1_touched = ws.touched.size();
@@ -1349,43 +1142,14 @@ std::vector<PropagationResult> PropagationSim::propagate_batch(
   return out;
 }
 
+PropagationResult PropagationSim::propagate(
+    net::Asn origin, const AnnouncementClass& cls) const {
+  return std::move(propagate_batch({PropagationRequest{origin, cls}})[0]);
+}
+
 PropagationResultPtr PropagationSim::propagate_cached(
     net::Asn origin, const AnnouncementClass& cls) const {
-  static thread_local PropagationWorkspace tl_workspace;
-  State& st = *state_;
-  const int32_t origin_id = indexer_.id_of(origin);
-  if (origin_id < 0 || !st.cache_enabled.load(std::memory_order_relaxed)) {
-    return std::make_shared<PropagationResult>(
-        propagate_id(origin_id, cls, tl_workspace));
-  }
-
-  ensure_masks();
-  const uint16_t sig = st.sig_of_class[class_index(cls)];
-  const uint64_t key =
-      (static_cast<uint64_t>(static_cast<uint32_t>(origin_id)) << 16) | sig;
-  {
-    std::lock_guard<std::mutex> lock(st.cache_mutex);
-    auto it = st.cache.find(key);
-    if (it != st.cache.end()) {
-      st.hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-
-  auto result = std::make_shared<PropagationResult>(
-      propagate_id(origin_id, cls, tl_workspace));
-  st.misses.fetch_add(1, std::memory_order_relaxed);
-  const size_t bytes = cache_entry_bytes(indexer_.size());
-  {
-    std::lock_guard<std::mutex> lock(st.cache_mutex);
-    auto it = st.cache.find(key);
-    if (it != st.cache.end()) return it->second;  // lost the race: share
-    if (st.cache_bytes + bytes <= st.cache_capacity) {
-      st.cache.emplace(key, result);
-      st.cache_bytes += bytes;
-    }
-  }
-  return result;
+  return propagate_cached({PropagationRequest{origin, cls}})[0];
 }
 
 std::vector<PropagationResultPtr> PropagationSim::propagate_cached(
@@ -1400,7 +1164,7 @@ std::vector<PropagationResultPtr> PropagationSim::propagate_cached(
   // Resolve every request to its (origin, signature) key. The first
   // occurrence of a key the memo misses becomes a pending lane; later
   // occurrences share its computation (and count as hits, exactly as the
-  // same sequence of single-origin calls would).
+  // same sequence of single-request calls would).
   struct Pending {
     uint64_t key;
     int32_t origin_id;

@@ -29,12 +29,6 @@
 //   * per-(policy, adjacency, class) drop decisions are precomputed into
 //     packed bitsets, turning the BFS inner-loop filter check into one
 //     bit test;
-//   * per-call scratch lives in a reusable, epoch-stamped
-//     PropagationWorkspace, so steady-state propagation allocates almost
-//     nothing beyond its output;
-//   * the dominant downhill phase is branchless: per-AS packed order
-//     keys folded with conditional moves instead of an unpredictable
-//     install-or-skip branch per edge (see propagate_id);
 //   * a result is one packed 32-bit word per AS (route source and next-hop
 //     id; distances are chain lengths, walked on demand), so a cached
 //     entry costs 4 B per AS;
@@ -42,13 +36,14 @@
 //     signature), letting the collector and hegemony stages share one
 //     propagation per group -- and letting classes no policy tells apart
 //     collapse onto a single cache entry;
-//   * propagate_batch() runs up to kMaxBatchLanes origins per sweep over
-//     a struct-of-arrays lane block (one packed 32-bit order key per (AS,
-//     lane): priority, distance and next-hop id, contiguous per AS), so
-//     one pass over the CSR adjacency serves the whole batch and the
-//     descent's fold is one unsigned min per 8 lanes (AVX2); the batched
-//     propagate_cached() overload groups pending (origin, signature)
-//     misses into such sweeps;
+//   * there is one engine, the lane engine: propagate_batch() runs up to
+//     kMaxBatchLanes origins per sweep over a struct-of-arrays lane block
+//     (one packed 32-bit order key per (AS, lane): priority, distance and
+//     next-hop id, contiguous per AS), so one pass over the CSR adjacency
+//     serves the whole batch and the descent's fold is one unsigned min
+//     per 8 lanes (AVX2); propagate() is a one-lane sweep, and
+//     propagate_cached() groups pending (origin, signature) misses into
+//     such sweeps;
 //   * extract_paths() reconstructs per-vantage AS paths into a reusable
 //     PathArena with a per-AS suffix memo, returning non-owning PathViews
 //     instead of one heap AsPath per vantage.
@@ -199,79 +194,6 @@ class AsIndexer {
   std::vector<net::Asn> asns_;
 };
 
-/// Reusable per-call scratch for propagate(). Reset is O(1): per-AS state
-/// is valid only when its stamp matches the current epoch, so a new call
-/// bumps the epoch instead of clearing n-sized arrays. One workspace
-/// serves any number of sequential calls (grow-only across simulators of
-/// different sizes); it must not be shared between concurrent calls --
-/// parallel callers keep one per worker thread.
-struct PropagationWorkspace {
-  struct PeerOffer {
-    int32_t to;
-    int32_t from;
-    uint16_t dist;
-  };
-
-  /// Per-AS state, packed into one 8-byte slot. The BFS inner loops are
-  /// bound by random reads of neighbor state; keeping stamp, next hop,
-  /// distance, and source together means each neighbor visit touches
-  /// exactly one cache line instead of one per parallel array.
-  struct NodeState {
-    int32_t next_hop;
-    uint16_t distance;
-    RouteSource source;
-    uint8_t stamp;  // valid iff == workspace epoch
-  };
-  static_assert(sizeof(NodeState) == 8, "NodeState must stay one 8-byte slot");
-
-  uint8_t epoch = 0;
-  std::vector<NodeState> node;
-  std::vector<int32_t> touched;  // ids stamped this epoch, in set order
-  std::vector<int32_t> frontier;
-  std::vector<int32_t> next;
-  std::vector<PeerOffer> offers;
-  std::vector<std::vector<int32_t>> buckets;  // phase-3 seeds by distance
-  // Phase-3 scratch: the branchless descent keeps one packed order key
-  // per AS (smaller = better route) and a change bitmap per level; see
-  // propagate_id for the key encoding.
-  std::vector<uint64_t> key;
-  std::vector<uint64_t> changed;  // 1 bit per AS; all-zero between calls
-
-  /// Start a new call over n ASes: bump the epoch (full re-stamp only on
-  /// first use, growth, or every 255th call when the 8-bit epoch wraps)
-  /// and clear the small lists.
-  void begin(size_t n) {
-    if (node.size() < n) {
-      node.assign(n, NodeState{});
-      key.resize(n);
-      changed.assign((n + 63) / 64, 0);
-      epoch = 0;
-    }
-    if (++epoch == 0) {  // uint8 wrap: invalidate all stamps
-      for (NodeState& s : node) s.stamp = 0;
-      epoch = 1;
-    }
-    touched.clear();
-    frontier.clear();
-    next.clear();
-    offers.clear();
-  }
-
-  bool stamped(int32_t v) const {
-    return node[static_cast<size_t>(v)].stamp == epoch;
-  }
-
-  /// Install a route at v and record it in the touched list.
-  void install(int32_t v, RouteSource src, int32_t hop, uint16_t dist) {
-    NodeState& s = node[static_cast<size_t>(v)];
-    s.stamp = epoch;
-    s.source = src;
-    s.next_hop = hop;
-    s.distance = dist;
-    touched.push_back(v);
-  }
-};
-
 /// Propagation-cache counters (cumulative over the simulator's lifetime;
 /// entries/bytes reflect the current contents).
 struct PropagationCacheStats {
@@ -398,7 +320,7 @@ PathArenaStats path_arena_stats();
 /// deep in the same customer cone share their common suffix ([AS, ...,
 /// origin] is a function of the AS alone within one result) by memcpy
 /// instead of re-walking the chain. Reused across calls with O(1) reset;
-/// one arena per worker thread, like PropagationWorkspace.
+/// one arena per worker thread, like BatchWorkspace.
 class PathArena {
  public:
   PathArena() = default;
@@ -454,18 +376,21 @@ class PropagationSim {
 
   /// Propagate an announcement originated by `origin` with the given
   /// validity class. Returns per-AS routing state. Always computes (no
-  /// cache); the workspace overload reuses caller scratch.
+  /// cache): a one-request propagate_batch, i.e. a one-lane sweep on the
+  /// calling thread's lane workspace. Like every batched call it throws
+  /// std::length_error when the graph's route-distance bound does not fit
+  /// the lane key (see propagate_batch).
   PropagationResult propagate(net::Asn origin,
                               const AnnouncementClass& cls) const;
-  PropagationResult propagate(net::Asn origin, const AnnouncementClass& cls,
-                              PropagationWorkspace& workspace) const;
 
   /// Memoized propagation, shared across pipeline stages: results are
   /// keyed by (origin, effective drop signature), so classes that no
   /// policy distinguishes -- all valid classes, and invalid variants with
   /// identical drop masks -- collapse onto one cached propagation. The
   /// returned pointer stays valid after clear_cache(). Safe to call
-  /// concurrently. When the cache is disabled this computes fresh.
+  /// concurrently. When the cache is disabled this computes fresh. A
+  /// one-request call of the batched overload below (same accounting,
+  /// capacity and std::length_error).
   PropagationResultPtr propagate_cached(net::Asn origin,
                                         const AnnouncementClass& cls) const;
 
@@ -474,8 +399,8 @@ class PropagationSim {
   /// through the lane engine batch_width() origins per sweep (sweeps fan
   /// out over the worker pool), installs the results, and returns one
   /// pointer per request (slot i answers requests[i]). Per-lane results
-  /// are byte-identical to the single-origin engine at any width. Unknown
-  /// origins yield the all-none result, like the single-origin overload.
+  /// are byte-identical at any width. Unknown origins yield the all-none
+  /// result.
   /// Throws std::length_error, as propagate_batch does, when a sweep is
   /// needed and route distances could overflow the lane keys.
   std::vector<PropagationResultPtr> propagate_cached(
@@ -547,9 +472,6 @@ class PropagationSim {
   void rebuild_descent_order();
   size_t class_index(const AnnouncementClass& cls) const;
   const uint64_t* mask_for(size_t cls_index, size_t adjacency) const;
-  PropagationResult propagate_id(int32_t origin_id,
-                                 const AnnouncementClass& cls,
-                                 PropagationWorkspace& ws) const;
   /// One batched sweep: lane l propagates origin_ids[l] under class index
   /// cls_indices[l]; results[l] receives lane l's dense result. Callers
   /// guarantee lanes <= kMaxBatchLanes, valid ids, ensure_masks(), and

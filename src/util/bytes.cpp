@@ -10,6 +10,12 @@ std::string_view ByteCursor::ascii(size_t n) {
   return as_chars(bytes(n));
 }
 
+void ByteCursor::throw_truncated(size_t n, const char* what) const {
+  throw ParseError(std::string("truncated input: ") + what + " needs " +
+                   std::to_string(n) + " bytes, have " +
+                   std::to_string(remaining()));
+}
+
 // The casts below are the codebase's one sanctioned byte<->char aliasing
 // site: uint8_t and char have the same size and alignment, and aliasing
 // through [unsigned] char is explicitly defined behaviour. Everything

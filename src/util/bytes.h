@@ -134,12 +134,11 @@ class ByteCursor {
 
  private:
   void need(size_t n, const char* what) const {
-    if (data_.size() - pos_ < n) {
-      throw ParseError(std::string("truncated input: ") + what + " needs " +
-                       std::to_string(n) + " bytes, have " +
-                       std::to_string(data_.size() - pos_));
-    }
+    if (data_.size() - pos_ < n) throw_truncated(n, what);
   }
+  /// need()'s failure path, out of line: a call the compiler knows never
+  /// returns lets it prove the reads after a failed need() unreachable.
+  [[noreturn]] void throw_truncated(size_t n, const char* what) const;
   std::span<const uint8_t> data_;
   size_t pos_ = 0;
 };

@@ -107,8 +107,6 @@ TEST(AnalyzeRules, FixtureTreeFindingsMatchExactly) {
       {"src/simulator/pos_nested_map_capture.cpp", 6, "nested-parallel"},
       {"src/simulator/pos_par_capture.cpp", 7, "lockset-race"},
       {"src/simulator/pos_ribmap.cpp", 7, "rib-map"},
-      {"src/simulator/pos_ws_shared_parallel.cpp", 7, "workspace-epoch"},
-      {"src/simulator/pos_ws_stale_install.cpp", 5, "workspace-epoch"},
       {"src/util/pos_atox.cpp", 3, "locale-atox"},
       {"src/util/pos_mapped_pass_closed.cpp", 8, "mapped-span"},
       {"src/util/pos_mapped_use_after_close.cpp", 8, "mapped-span"},
@@ -135,14 +133,13 @@ TEST(AnalyzeRules, RegexCorpusParityAllPortedRulesFire) {
   for (const FindingKey& k : parse_findings(r.out)) {
     fired.insert(std::get<2>(k));
   }
-  const std::array<const char*, 22> all_rules = {
+  const std::array<const char*, 21> all_rules = {
       "reinterpret-cast", "unchecked-memcpy", "throwing-strtox",
       "locale-atox", "unbounded-copy", "union-punning", "raw-thread",
       "rib-map", "std-hash", "determinism-iteration", "lockset-race",
       "layer-violation", "parse-throw-boundary", "rib-typestate",
-      "workspace-epoch", "batch-workspace", "cursor-guard",
-      "nested-parallel", "mapped-span", "series-delta", "cursor-width",
-      "unused-waiver"};
+      "batch-workspace", "cursor-guard", "nested-parallel", "mapped-span",
+      "series-delta", "cursor-width", "unused-waiver"};
   for (const char* rule : all_rules) {
     EXPECT_EQ(fired.count(rule), 1u) << "rule never fired: " << rule;
   }
@@ -169,9 +166,8 @@ TEST(AnalyzeRules, ListRulesShowsFullCatalog) {
   for (const char* rule :
        {"reinterpret-cast", "determinism-iteration", "lockset-race",
         "layer-violation", "parse-throw-boundary", "rib-typestate",
-        "workspace-epoch", "batch-workspace", "cursor-guard",
-        "nested-parallel", "mapped-span", "series-delta", "cursor-width",
-        "unused-waiver"}) {
+        "batch-workspace", "cursor-guard", "nested-parallel", "mapped-span",
+        "series-delta", "cursor-width", "unused-waiver"}) {
     EXPECT_NE(r.out.find(rule), std::string::npos) << rule;
   }
 }

@@ -2,23 +2,24 @@
 //
 // Three layers:
 //
-//   * PropagationBatch: the lane engine (propagate_batch) must equal the
-//     single-origin engine result-for-result at every lane width -- 1,
-//     a non-power-of-two, the full 64, and a width larger than the
-//     request count -- also on a p2c cycle and on a chain at the edge of
-//     the lane key's distance field (deeper ones must throw), and the
-//     batched propagate_cached() front end must share memo entries (and
-//     hit/miss accounting) with the single-call overload.
+//   * PropagationBatch: multi-lane sweeps (propagate_batch) must equal
+//     one-lane sweeps (propagate()) result-for-result at every lane width
+//     -- a non-power-of-two, the full 64, and a width larger than the
+//     request count; on a p2c cycle every width, 1 included, must equal
+//     the naive oracle; a chain at the edge of the lane key's distance
+//     field must equal its closed-form routes (deeper ones must throw);
+//     and the batched propagate_cached() front end must share memo
+//     entries (and hit/miss accounting) with the single-call overload.
 //   * PropagationBatchPaths: extract_paths() views must match path_from
 //     hop-for-hop, including no-route vantages, the origin itself, and
 //     unknown ASNs, while the arena's suffix memo actually shares hops.
 //   * PropagationBatchGolden: full collector RIBs and hegemony CSVs must
-//     be byte-identical to the single-origin engine across the thread x
-//     grain x batch-width matrix. The single-engine golden is produced by
-//     pre-warming the propagation cache through propagate_cached(origin,
-//     cls) -- the batched front end then serves only single-engine
-//     results -- plus, for the collector, an explicit path_from +
-//     merge_group_entries reference build.
+//     be byte-identical to one-lane sweeps across the thread x grain x
+//     batch-width matrix. The one-lane golden is produced by pre-warming
+//     the propagation cache through propagate_cached(origin, cls) -- the
+//     batched front end then serves only one-lane results -- plus, for
+//     the collector, an explicit path_from + merge_group_entries
+//     reference build.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -30,6 +31,7 @@
 
 #include "ihr/dataset.h"
 #include "mrt/table_dump.h"
+#include "propagation_oracle.h"
 #include "simulator/collector.h"
 #include "simulator/propagation.h"
 #include "topogen/scenario.h"
@@ -41,8 +43,9 @@ namespace {
 
 using astopo::AsGraph;
 using net::Asn;
+using oracle::random_class;
+using oracle::random_graph;
 using sim::AnnouncementClass;
-using sim::FilterPolicy;
 using sim::PropagationRequest;
 using sim::PropagationResult;
 using sim::PropagationSim;
@@ -56,54 +59,6 @@ struct EngineKnobGuard {
     util::set_grain(0);
   }
 };
-
-AsGraph random_graph(util::Rng& rng, size_t n) {
-  AsGraph graph;
-  // Node i may buy transit from lower-indexed nodes (acyclic p2c), plus
-  // random peering edges not parallel to p2c edges.
-  for (size_t i = 0; i < n; ++i) graph.add_as(Asn(100 + i));
-  for (size_t i = 1; i < n; ++i) {
-    size_t providers = 1 + rng.uniform(2);
-    for (size_t k = 0; k < providers; ++k) {
-      graph.add_provider_customer(Asn(100 + rng.uniform(i)), Asn(100 + i));
-    }
-  }
-  for (size_t k = 0; k < n / 2; ++k) {
-    size_t a = rng.uniform(n), b = rng.uniform(n);
-    if (a == b) continue;
-    if (graph.is_provider_of(Asn(100 + a), Asn(100 + b)) ||
-        graph.is_provider_of(Asn(100 + b), Asn(100 + a))) {
-      continue;
-    }
-    graph.add_peer_peer(Asn(100 + a), Asn(100 + b));
-  }
-  return graph;
-}
-
-void apply_random_policies(util::Rng& rng, const AsGraph& graph,
-                           PropagationSim& sim) {
-  for (Asn asn : graph.all_asns()) {
-    FilterPolicy policy;
-    policy.rov = rng.bernoulli(0.2);
-    if (rng.bernoulli(0.3)) {
-      policy.customer_strictness =
-          static_cast<uint8_t>(1 + rng.uniform(sim::kFilterVariants));
-    }
-    if (rng.bernoulli(0.2)) {
-      policy.peer_strictness =
-          static_cast<uint8_t>(1 + rng.uniform(sim::kFilterVariants));
-    }
-    sim.set_policy(asn, policy);
-  }
-}
-
-AnnouncementClass random_class(util::Rng& rng) {
-  AnnouncementClass cls;
-  cls.rpki_invalid = rng.bernoulli(0.4);
-  cls.irr_invalid = rng.bernoulli(0.4);
-  cls.variant = static_cast<uint8_t>(rng.uniform(sim::kFilterVariants));
-  return cls;
-}
 
 /// A request mix that exercises every batched code path: valid + invalid
 /// classes (different effective drop signatures), duplicate (origin,
@@ -132,29 +87,37 @@ void expect_result_eq(const PropagationResult& got,
   EXPECT_EQ(got, want) << "request=" << request << " width=" << width;
 }
 
-TEST(PropagationBatch, MatchesSingleAcrossWidths) {
+TEST(PropagationBatch, MatchesOneLaneSweepsAcrossWidths) {
+  // The baseline is propagate(), one one-lane sweep per request, itself
+  // checked against the naive oracle; wider sweeps must not let lanes
+  // interact.
   EngineKnobGuard guard;
   util::Rng rng(20260801);
   const size_t n = 40;
   AsGraph graph = random_graph(rng, n);
+  const oracle::Policies policies = oracle::random_policies(rng, graph);
   PropagationSim sim(graph);
-  apply_random_policies(rng, graph, sim);
+  oracle::apply_policies(sim, policies);
 
   // 90 requests: at width 64 that is one full sweep plus a partial one.
   std::vector<PropagationRequest> requests = mixed_requests(rng, n, 90);
-  std::vector<PropagationResult> singles;
-  singles.reserve(requests.size());
+  std::vector<PropagationResult> one_lane;
+  one_lane.reserve(requests.size());
   for (const PropagationRequest& req : requests) {
-    singles.push_back(sim.propagate(req.origin, req.cls));
+    one_lane.push_back(sim.propagate(req.origin, req.cls));
+    oracle::expect_matches_oracle(
+        sim, graph, one_lane.back(),
+        oracle::oracle_propagate(graph, policies, req.origin, req.cls),
+        "request=" + std::to_string(one_lane.size() - 1));
   }
 
-  for (size_t width : {size_t{1}, size_t{7}, size_t{64}}) {
+  for (size_t width : {size_t{7}, size_t{64}}) {
     sim::set_batch_width(width);
     ASSERT_EQ(sim::batch_width(), width);
     std::vector<PropagationResult> lanes = sim.propagate_batch(requests);
     ASSERT_EQ(lanes.size(), requests.size());
     for (size_t r = 0; r < requests.size(); ++r) {
-      expect_result_eq(lanes[r], singles[r], r, width);
+      expect_result_eq(lanes[r], one_lane[r], r, width);
     }
   }
 
@@ -163,7 +126,7 @@ TEST(PropagationBatch, MatchesSingleAcrossWidths) {
   std::vector<PropagationRequest> few(requests.begin(), requests.begin() + 5);
   std::vector<PropagationResult> lanes = sim.propagate_batch(few);
   for (size_t r = 0; r < few.size(); ++r) {
-    expect_result_eq(lanes[r], singles[r], r, 64);
+    expect_result_eq(lanes[r], one_lane[r], r, 64);
   }
 }
 
@@ -175,7 +138,7 @@ TEST(PropagationBatch, WorkspaceReuseAcrossSweeps) {
   const size_t n = 28;
   AsGraph graph = random_graph(rng, n);
   PropagationSim sim(graph);
-  apply_random_policies(rng, graph, sim);
+  oracle::apply_policies(sim, oracle::random_policies(rng, graph));
 
   sim::BatchWorkspace reused;
   for (size_t round = 0; round < 4; ++round) {
@@ -185,9 +148,10 @@ TEST(PropagationBatch, WorkspaceReuseAcrossSweeps) {
     std::vector<PropagationResult> warm = sim.propagate_batch(requests,
                                                               reused);
     for (size_t r = 0; r < requests.size(); ++r) {
-      PropagationResult cold = sim.propagate(requests[r].origin,
-                                             requests[r].cls);
-      expect_result_eq(warm[r], cold, r, round + 1);
+      sim::BatchWorkspace fresh;
+      std::vector<PropagationResult> cold =
+          sim.propagate_batch({requests[r]}, fresh);
+      expect_result_eq(warm[r], cold[0], r, round + 1);
     }
   }
 }
@@ -213,7 +177,7 @@ TEST(PropagationBatch, CachedBatchSharesEntriesWithSingleCalls) {
   const size_t n = 24;
   AsGraph graph = random_graph(rng, n);
   PropagationSim sim(graph);
-  apply_random_policies(rng, graph, sim);
+  oracle::apply_policies(sim, oracle::random_policies(rng, graph));
   ASSERT_TRUE(sim.cache_enabled());
 
   std::vector<PropagationRequest> requests = mixed_requests(rng, n, 40);
@@ -223,11 +187,11 @@ TEST(PropagationBatch, CachedBatchSharesEntriesWithSingleCalls) {
   ASSERT_EQ(batched.size(), requests.size());
   for (size_t r = 0; r < requests.size(); ++r) {
     ASSERT_NE(batched[r], nullptr) << r;
-    // Values equal the uncached single engine...
+    // Values equal an uncached one-lane sweep...
     PropagationResult plain = sim.propagate(requests[r].origin,
                                             requests[r].cls);
     expect_result_eq(*batched[r], plain, r, 7);
-    // ...and known origins share the exact memo object a single-origin
+    // ...and known origins share the exact memo object a single-request
     // cached call serves.
     if (sim.indexer().id_of(requests[r].origin) >= 0) {
       EXPECT_EQ(sim.propagate_cached(requests[r].origin, requests[r].cls)
@@ -240,7 +204,7 @@ TEST(PropagationBatch, CachedBatchSharesEntriesWithSingleCalls) {
 
 TEST(PropagationBatch, CachedBatchCountsDuplicatesAsHits) {
   // The batched front end must account exactly like the same sequence of
-  // single-origin calls: first occurrence of a missing key is one miss,
+  // single-request calls: first occurrence of a missing key is one miss,
   // every later occurrence in the same batch is a hit.
   EngineKnobGuard guard;
   util::Rng rng(31);
@@ -279,7 +243,7 @@ TEST(PropagationBatch, CachedBatchWithCacheDisabled) {
   const size_t n = 20;
   AsGraph graph = random_graph(rng, n);
   PropagationSim sim(graph);
-  apply_random_policies(rng, graph, sim);
+  oracle::apply_policies(sim, oracle::random_policies(rng, graph));
   sim.set_cache_enabled(false);
 
   std::vector<PropagationRequest> requests = mixed_requests(rng, n, 12);
@@ -319,7 +283,7 @@ TEST(PropagationBatch, CyclicHierarchyMatchesSingle) {
   // fed from above at 113 and 111, with customers, peers and filtering
   // ASes around it. The descent order cannot be topological here, so the
   // lane engine iterates its pass to the fixpoint; every lane must still
-  // equal the single-origin engine, at scalar and vector widths.
+  // equal the naive oracle, at scalar and vector widths.
   EngineKnobGuard guard;
   AsGraph graph;
   auto p2c = [&](uint32_t provider, uint32_t customer) {
@@ -344,19 +308,13 @@ TEST(PropagationBatch, CyclicHierarchyMatchesSingle) {
   graph.add_peer_peer(Asn(104), Asn(112));
   graph.add_peer_peer(Asn(120), Asn(123));
 
+  oracle::Policies policies;
+  policies[110].customer_strictness = sim::kFilterVariants;  // strict
+  policies[112].rov = true;
+  policies[103].peer_strictness = 2;      // leaky peer filter
+  policies[121].customer_strictness = 1;  // leaky customer filter
   PropagationSim sim(graph);
-  FilterPolicy strict_customers;
-  strict_customers.customer_strictness = sim::kFilterVariants;
-  FilterPolicy rov;
-  rov.rov = true;
-  FilterPolicy leaky_peers;
-  leaky_peers.peer_strictness = 2;
-  FilterPolicy leaky_customers;
-  leaky_customers.customer_strictness = 1;
-  sim.set_policy(Asn(110), strict_customers);
-  sim.set_policy(Asn(112), rov);
-  sim.set_policy(Asn(103), leaky_peers);
-  sim.set_policy(Asn(121), leaky_customers);
+  oracle::apply_policies(sim, policies);
 
   AnnouncementClass rpki_invalid;
   rpki_invalid.rpki_invalid = true;
@@ -371,16 +329,19 @@ TEST(PropagationBatch, CyclicHierarchyMatchesSingle) {
       requests.push_back(PropagationRequest{origin, cls});
     }
   }
-  std::vector<PropagationResult> singles;
+  std::vector<std::map<uint32_t, oracle::OracleRoute>> oracles;
   for (const PropagationRequest& req : requests) {
-    singles.push_back(sim.propagate(req.origin, req.cls));
+    oracles.push_back(
+        oracle::oracle_propagate(graph, policies, req.origin, req.cls));
   }
   for (size_t width : {size_t{1}, size_t{7}, size_t{8}, size_t{64}}) {
     sim::set_batch_width(width);
     std::vector<PropagationResult> lanes = sim.propagate_batch(requests);
     ASSERT_EQ(lanes.size(), requests.size());
     for (size_t r = 0; r < requests.size(); ++r) {
-      expect_result_eq(lanes[r], singles[r], r, width);
+      oracle::expect_matches_oracle(
+          sim, graph, lanes[r], oracles[r],
+          "width=" + std::to_string(width) + " request=" + std::to_string(r));
     }
   }
 }
@@ -389,8 +350,8 @@ TEST(PropagationBatch, DistanceFieldGuard) {
   // 16,384 ASes need 15-bit hop ids, leaving 15 distance bits (all ones,
   // 32,767, reserved). A p2c chain through all of them bounds route
   // distances at 2 x 16,383 + 1 = 32,767: no fit. One AS off the chain
-  // gives 2 x 16,382 + 1 = 32,765: fits, and the lanes must equal the
-  // single-origin engine.
+  // gives 2 x 16,382 + 1 = 32,765: fits, and every lane must hold the
+  // chain's closed-form routes.
   EngineKnobGuard guard;
   constexpr uint32_t kAses = 16384;
   auto chain = [](uint32_t chained) {
@@ -412,13 +373,37 @@ TEST(PropagationBatch, DistanceFieldGuard) {
   PropagationSim too_deep(chain(kAses));
   EXPECT_THROW((void)too_deep.propagate_batch(requests), std::length_error);
   EXPECT_THROW((void)too_deep.propagate_cached(requests), std::length_error);
+  EXPECT_THROW((void)too_deep.propagate(requests[0].origin, requests[0].cls),
+               std::length_error);
 
+  // Dense id i is ASN 100 + i, and chain position i. From an origin at
+  // position o, ASes above it hold customer routes from the AS below
+  // them, ASes below it provider routes from the AS above them; the AS
+  // off the chain is reached only when it is the origin itself.
+  auto closed_form = [](uint32_t o) {
+    PropagationResult want;
+    want.words.assign(kAses, PropagationResult::pack(
+                                 sim::RouteSource::kNone,
+                                 PropagationResult::kNoRoute));
+    want.words[o] = PropagationResult::pack(sim::RouteSource::kOrigin,
+                                            PropagationResult::kNoRoute);
+    if (o == kAses - 1) return want;
+    for (uint32_t i = 0; i < kAses - 1; ++i) {
+      if (i < o) {
+        want.words[i] = PropagationResult::pack(
+            sim::RouteSource::kCustomer, static_cast<int32_t>(i + 1));
+      } else if (i > o) {
+        want.words[i] = PropagationResult::pack(
+            sim::RouteSource::kProvider, static_cast<int32_t>(i - 1));
+      }
+    }
+    return want;
+  };
   PropagationSim fits(chain(kAses - 1));
   std::vector<PropagationResult> lanes = fits.propagate_batch(requests);
   ASSERT_EQ(lanes.size(), requests.size());
   for (size_t r = 0; r < requests.size(); ++r) {
-    expect_result_eq(lanes[r], fits.propagate(requests[r].origin,
-                                              requests[r].cls),
+    expect_result_eq(lanes[r], closed_form(requests[r].origin.value() - 100),
                      r, 8);
   }
   // The chain's far end is reached at distance 16,382.
@@ -433,7 +418,7 @@ TEST(PropagationBatchPaths, ExtractMatchesPathFrom) {
   const size_t n = 32;
   AsGraph graph = random_graph(rng, n);
   PropagationSim sim(graph);
-  apply_random_policies(rng, graph, sim);
+  oracle::apply_policies(sim, oracle::random_policies(rng, graph));
 
   // Vantages: every AS (origin included), plus an ASN the graph has
   // never heard of.
@@ -514,7 +499,7 @@ TEST(PropagationBatchPaths, BrokenChainYieldsEmptyView) {
 }
 
 // ---------------------------------------------------------------------------
-// Full-pipeline byte equality vs the single-origin engine.
+// Full-pipeline byte equality vs one-lane sweeps.
 
 std::vector<sim::Announcement> classified_announcements(
     const topogen::Scenario& scenario) {
@@ -541,27 +526,27 @@ std::string hegemony_bytes(const ihr::IhrSnapshot& snapshot) {
   return po.str() + "\n---\n" + transit.str();
 }
 
-/// Force every group's propagation through the single-origin engine:
-/// propagate_cached(origin, cls) computes with propagate_id, so after
-/// this warm-up the batched front end resolves every request as a memo
-/// hit and the lane engine never runs.
-void prewarm_single_engine(const PropagationSim& sim,
-                           const std::vector<sim::Announcement>& as) {
+/// Force every group's propagation through a one-lane sweep:
+/// propagate_cached(origin, cls) misses compute one request at a time, so
+/// after this warm-up the batched front end resolves every request as a
+/// memo hit and no multi-lane sweep runs.
+void prewarm_one_lane(const PropagationSim& sim,
+                      const std::vector<sim::Announcement>& as) {
   for (const auto& group : sim::group_announcements(as)) {
     (void)sim.propagate_cached(group.origin, group.cls);
   }
 }
 
-TEST(PropagationBatchGolden, PipelineBytesMatchSingleEngineAcrossMatrix) {
+TEST(PropagationBatchGolden, PipelineBytesMatchOneLaneSweepsAcrossMatrix) {
   EngineKnobGuard guard;
   const topogen::Scenario scenario =
       topogen::build_scenario(topogen::ScenarioConfig::tiny());
   const auto announcements = classified_announcements(scenario);
   ASSERT_FALSE(announcements.empty());
 
-  auto pipeline_bytes = [&](bool single_engine) {
+  auto pipeline_bytes = [&](bool one_lane) {
     PropagationSim simulator = scenario.make_sim();
-    if (single_engine) prewarm_single_engine(simulator, announcements);
+    if (one_lane) prewarm_one_lane(simulator, announcements);
     sim::RouteCollector collector(simulator, scenario.vantage_points);
     std::string rib = rib_bytes(collector.collect(announcements));
     ihr::IhrSnapshotBuilder builder(simulator, scenario.vantage_points);
@@ -578,9 +563,9 @@ TEST(PropagationBatchGolden, PipelineBytesMatchSingleEngineAcrossMatrix) {
   ASSERT_GT(golden_rib.size(), 100u);
   ASSERT_GT(golden_heg.size(), 100u);
 
-  // An explicit single-engine collector reference: per-group single
+  // An explicit one-lane collector reference: per-group one-lane
   // propagation + per-peer path_from, merged with the same sharded
-  // merge. Pins the golden itself to the pre-batch pipeline.
+  // merge. Pins the golden itself to an unbatched collector build.
   {
     PropagationSim simulator = scenario.make_sim();
     bgp::Rib rib;

@@ -1,14 +1,12 @@
-// Oracle tests for the rebuilt propagation engine.
+// Oracle tests for the propagation engine.
 //
 // Two layers of defense:
 //
-//   * PropagationOracle: a naive per-AS-decision reference that scores
-//     every neighbor offer with the full Gao-Rexford preference --
-//     customer > peer > provider, then shorter path, then lowest
-//     next-hop ASN -- iterated to a fixpoint. Unlike the fixpoint in
-//     test_propagation_property.cpp (reachability/class/distance), this
-//     oracle also pins down the chosen next hop, i.e. the exact
-//     tie-break the CSR engine implements with dense-id comparisons.
+//   * PropagationOracle: every route the engine computes -- through
+//     propagate() (a one-lane sweep) and through multi-lane
+//     propagate_batch() sweeps -- must equal the naive per-AS-decision
+//     reference in propagation_oracle.h: route class, distance and the
+//     chosen next hop, on random graphs with random filtering.
 //   * PropagationCache: propagate_cached() must be observationally
 //     identical to propagate() -- same result values, and byte-identical
 //     collector RIBs and hegemony CSVs with the cache on vs off -- while
@@ -25,6 +23,7 @@
 
 #include "ihr/dataset.h"
 #include "mrt/table_dump.h"
+#include "propagation_oracle.h"
 #include "simulator/collector.h"
 #include "simulator/propagation.h"
 #include "topogen/scenario.h"
@@ -35,223 +34,53 @@ namespace {
 
 using astopo::AsGraph;
 using net::Asn;
+using oracle::apply_policies;
+using oracle::expect_matches_oracle;
+using oracle::oracle_propagate;
+using oracle::random_class;
+using oracle::random_graph;
+using oracle::random_policies;
 using sim::AnnouncementClass;
-using sim::FilterPolicy;
 using sim::PropagationResult;
 using sim::PropagationSim;
-using sim::PropagationWorkspace;
-using sim::RouteSource;
 
-// ---------------------------------------------------------------------------
-// The reference oracle: full per-AS decision, one neighbor offer at a time.
-
-struct OracleRoute {
-  RouteSource source = RouteSource::kNone;
-  uint16_t distance = 0;
-  uint32_t next_hop = 0;  // ASN value; 0 (reserved ASN) for the origin
-
-  bool operator==(const OracleRoute&) const = default;
-};
-
-/// Full route preference: class (RouteSource enum order is already
-/// provider < peer < customer < origin), then distance, then lowest
-/// next-hop ASN.
-bool better(const OracleRoute& a, const OracleRoute& b) {
-  if (a.source != b.source) {
-    return static_cast<int>(a.source) > static_cast<int>(b.source);
-  }
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.next_hop < b.next_hop;
-}
-
-std::map<uint32_t, OracleRoute> oracle_propagate(
-    const AsGraph& graph, const std::map<uint32_t, FilterPolicy>& policies,
-    Asn origin, const AnnouncementClass& cls) {
-  std::map<uint32_t, OracleRoute> routes;
-  if (!graph.contains(origin)) return routes;
-  routes[origin.value()] = OracleRoute{RouteSource::kOrigin, 0, 0};
-
-  auto drops = [&](Asn receiver, RouteSource adjacency) {
-    auto it = policies.find(receiver.value());
-    FilterPolicy policy = it == policies.end() ? FilterPolicy{} : it->second;
-    if (policy.rov && cls.rpki_invalid) return true;
-    bool invalid = cls.rpki_invalid || cls.irr_invalid;
-    if (!invalid) return false;
-    if (adjacency == RouteSource::kCustomer &&
-        cls.variant < policy.customer_strictness) {
-      return true;
-    }
-    if (adjacency == RouteSource::kPeer &&
-        cls.variant < policy.peer_strictness) {
-      return true;
-    }
-    return false;
-  };
-
-  // Synchronous relaxation to the converged BGP state (see
-  // test_propagation_property.cpp for why monotone updates don't work).
-  bool changed = true;
-  size_t guard = 0;
-  while (changed && guard++ < 2 * graph.as_count() + 8) {
-    changed = false;
-    std::map<uint32_t, OracleRoute> next;
-    next[origin.value()] = OracleRoute{RouteSource::kOrigin, 0, 0};
-    for (Asn u : graph.all_asns()) {
-      if (u == origin) continue;
-      OracleRoute best;  // kNone
-      auto consider = [&](Asn v, RouteSource adjacency_at_u) {
-        auto vit = routes.find(v.value());
-        if (vit == routes.end()) return;
-        const OracleRoute& via = vit->second;
-        // v exports its best route to u only when valley-free allows it:
-        // customer/origin routes go to everyone, anything goes downhill.
-        bool exported = via.source == RouteSource::kOrigin ||
-                        via.source == RouteSource::kCustomer ||
-                        adjacency_at_u == RouteSource::kProvider;
-        if (!exported) return;
-        if (drops(u, adjacency_at_u)) return;
-        OracleRoute candidate{adjacency_at_u,
-                              static_cast<uint16_t>(via.distance + 1),
-                              v.value()};
-        if (best.source == RouteSource::kNone || better(candidate, best)) {
-          best = candidate;
-        }
-      };
-      for (Asn c : graph.customers(u)) consider(c, RouteSource::kCustomer);
-      for (Asn p : graph.peers(u)) consider(p, RouteSource::kPeer);
-      for (Asn p : graph.providers(u)) consider(p, RouteSource::kProvider);
-      if (best.source != RouteSource::kNone) next[u.value()] = best;
-    }
-    if (next != routes) {
-      routes = std::move(next);
-      changed = true;
-    }
-  }
-  return routes;
-}
-
-AsGraph random_graph(util::Rng& rng, size_t n) {
-  AsGraph graph;
-  // Node i may buy transit from lower-indexed nodes (acyclic p2c), plus
-  // random peering edges not parallel to p2c edges.
-  for (size_t i = 0; i < n; ++i) graph.add_as(Asn(100 + i));
-  for (size_t i = 1; i < n; ++i) {
-    size_t providers = 1 + rng.uniform(2);
-    for (size_t k = 0; k < providers; ++k) {
-      graph.add_provider_customer(Asn(100 + rng.uniform(i)), Asn(100 + i));
-    }
-  }
-  for (size_t k = 0; k < n / 2; ++k) {
-    size_t a = rng.uniform(n), b = rng.uniform(n);
-    if (a == b) continue;
-    if (graph.is_provider_of(Asn(100 + a), Asn(100 + b)) ||
-        graph.is_provider_of(Asn(100 + b), Asn(100 + a))) {
-      continue;
-    }
-    graph.add_peer_peer(Asn(100 + a), Asn(100 + b));
-  }
-  return graph;
-}
-
-std::map<uint32_t, FilterPolicy> random_policies(util::Rng& rng,
-                                                 const AsGraph& graph) {
-  std::map<uint32_t, FilterPolicy> policies;
-  for (Asn asn : graph.all_asns()) {
-    FilterPolicy policy;
-    policy.rov = rng.bernoulli(0.2);
-    if (rng.bernoulli(0.3)) {
-      policy.customer_strictness =
-          static_cast<uint8_t>(1 + rng.uniform(sim::kFilterVariants));
-    }
-    if (rng.bernoulli(0.2)) {
-      policy.peer_strictness =
-          static_cast<uint8_t>(1 + rng.uniform(sim::kFilterVariants));
-    }
-    policies[asn.value()] = policy;
-  }
-  return policies;
-}
-
-AnnouncementClass random_class(util::Rng& rng) {
-  AnnouncementClass cls;
-  cls.rpki_invalid = rng.bernoulli(0.4);
-  cls.irr_invalid = rng.bernoulli(0.4);
-  cls.variant = static_cast<uint8_t>(rng.uniform(sim::kFilterVariants));
-  return cls;
-}
-
-class PropagationOracleP : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(PropagationOracleP, EveryPerAsDecisionMatches) {
-  util::Rng rng(GetParam());
-  for (int trial = 0; trial < 3; ++trial) {
-    size_t n = 10 + rng.uniform(30);
+/// `trials` random graphs of n_min + [0, n_spread) ASes with random
+/// policies; six random (origin, class) propagate() calls on each, every
+/// one checked against the oracle, and its materialized paths against
+/// the oracle's distances (valley-free, loop-free, ending at the origin).
+void expect_random_graphs_match(uint64_t seed, int trials, size_t n_min,
+                                size_t n_spread) {
+  util::Rng rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
+    size_t n = n_min + rng.uniform(n_spread);
     AsGraph graph = random_graph(rng, n);
     auto policies = random_policies(rng, graph);
-
     PropagationSim sim(graph);
-    for (const auto& [asn, policy] : policies) {
-      sim.set_policy(Asn(asn), policy);
-    }
+    apply_policies(sim, policies);
 
-    // One workspace reused across every propagation of the trial: the
-    // epoch reset must leave no state behind from earlier calls.
-    PropagationWorkspace workspace;
     for (int a = 0; a < 6; ++a) {
       Asn origin(100 + static_cast<uint32_t>(rng.uniform(n)));
       AnnouncementClass cls = random_class(rng);
-
-      PropagationResult fast = sim.propagate(origin, cls, workspace);
+      PropagationResult result = sim.propagate(origin, cls);
       auto oracle = oracle_propagate(graph, policies, origin, cls);
-
-      for (Asn asn : graph.all_asns()) {
-        int32_t id = sim.indexer().id_of(asn);
-        ASSERT_GE(id, 0);
-        auto ref = oracle.find(asn.value());
-        const bool ref_reached = ref != oracle.end();
-        ASSERT_EQ(fast.reached(id), ref_reached)
-            << "seed=" << GetParam() << " origin=" << origin.to_string()
-            << " as=" << asn.to_string();
-        if (!ref_reached) continue;
-        EXPECT_EQ(fast.source(id), ref->second.source)
-            << origin.to_string() << " -> " << asn.to_string();
-        EXPECT_EQ(fast.distance(id), ref->second.distance)
-            << origin.to_string() << " -> " << asn.to_string();
-        if (ref->second.source != RouteSource::kOrigin) {
-          // The decisive check: the engine's dense-id tie-break must pick
-          // exactly the oracle's lowest-ASN next hop.
-          ASSERT_GE(fast.next_hop(id), 0);
-          EXPECT_EQ(sim.indexer().asn_of(fast.next_hop(id)).value(),
-                    ref->second.next_hop)
-              << "seed=" << GetParam() << " origin=" << origin.to_string()
-              << " as=" << asn.to_string();
-        } else {
-          EXPECT_EQ(fast.next_hop(id), PropagationResult::kNoRoute);
-        }
+      expect_matches_oracle(sim, graph, result, oracle,
+                            "seed=" + std::to_string(seed) +
+                                " origin=" + origin.to_string());
+      for (const auto& [asn, route] : oracle) {
+        bgp::AsPath path = sim.path_from(result, Asn(asn));
+        ASSERT_EQ(path.hops().size(), static_cast<size_t>(route.distance) + 1)
+            << "seed=" << seed << " as=" << asn;
+        EXPECT_EQ(path.origin(), origin);
+        EXPECT_FALSE(path.has_loop());
       }
     }
   }
 }
 
-TEST_P(PropagationOracleP, WorkspaceReuseIsIdempotent) {
-  util::Rng rng(GetParam() ^ 0x9e3779b97f4a7c15ull);
-  size_t n = 12 + rng.uniform(20);
-  AsGraph graph = random_graph(rng, n);
-  auto policies = random_policies(rng, graph);
-  PropagationSim sim(graph);
-  for (const auto& [asn, policy] : policies) sim.set_policy(Asn(asn), policy);
+class PropagationOracleP : public ::testing::TestWithParam<uint64_t> {};
 
-  // Results through one long-lived workspace must equal results through a
-  // fresh workspace per call, in any interleaving.
-  PropagationWorkspace reused;
-  for (int a = 0; a < 8; ++a) {
-    Asn origin(100 + static_cast<uint32_t>(rng.uniform(n)));
-    AnnouncementClass cls = random_class(rng);
-    PropagationResult warm = sim.propagate(origin, cls, reused);
-    PropagationWorkspace fresh;
-    PropagationResult cold = sim.propagate(origin, cls, fresh);
-    EXPECT_EQ(warm, cold);
-  }
+TEST_P(PropagationOracleP, EveryPerAsDecisionMatches) {
+  expect_random_graphs_match(GetParam(), 3, 10, 30);
 }
 
 TEST_P(PropagationOracleP, BatchedLanesMatchOracle) {
@@ -268,7 +97,7 @@ TEST_P(PropagationOracleP, BatchedLanesMatchOracle) {
   AsGraph graph = random_graph(rng, n);
   auto policies = random_policies(rng, graph);
   PropagationSim sim(graph);
-  for (const auto& [asn, policy] : policies) sim.set_policy(Asn(asn), policy);
+  apply_policies(sim, policies);
 
   std::vector<sim::PropagationRequest> requests;
   AnnouncementClass valid;  // all-clear signature
@@ -283,34 +112,13 @@ TEST_P(PropagationOracleP, BatchedLanesMatchOracle) {
   auto expect_oracle = [&](const std::vector<PropagationResult>& lanes,
                            size_t width) {
     for (size_t r = 0; r < lanes.size(); ++r) {
-      auto oracle = oracle_propagate(graph, policies, requests[r].origin,
-                                     requests[r].cls);
-      const PropagationResult& lane = lanes[r];
-      for (Asn asn : graph.all_asns()) {
-        int32_t id = sim.indexer().id_of(asn);
-        ASSERT_GE(id, 0);
-        auto ref = oracle.find(asn.value());
-        const bool ref_reached = ref != oracle.end();
-        ASSERT_EQ(lane.reached(id), ref_reached)
-            << "seed=" << GetParam() << " width=" << width << " lane=" << r
-            << " origin=" << requests[r].origin.to_string()
-            << " as=" << asn.to_string();
-        if (!ref_reached) continue;
-        EXPECT_EQ(lane.source(id), ref->second.source)
-            << "width=" << width << " lane=" << r << " as=" << asn.to_string();
-        EXPECT_EQ(lane.distance(id), ref->second.distance)
-            << "width=" << width << " lane=" << r << " as=" << asn.to_string();
-        if (ref->second.source != RouteSource::kOrigin) {
-          ASSERT_GE(lane.next_hop(id), 0);
-          EXPECT_EQ(sim.indexer().asn_of(lane.next_hop(id)).value(),
-                    ref->second.next_hop)
-              << "seed=" << GetParam() << " width=" << width << " lane=" << r
-              << " origin=" << requests[r].origin.to_string()
-              << " as=" << asn.to_string();
-        } else {
-          EXPECT_EQ(lane.next_hop(id), PropagationResult::kNoRoute);
-        }
-      }
+      expect_matches_oracle(
+          sim, graph, lanes[r],
+          oracle_propagate(graph, policies, requests[r].origin,
+                           requests[r].cls),
+          "seed=" + std::to_string(GetParam()) +
+              " width=" + std::to_string(width) + " lane=" +
+              std::to_string(r) + " origin=" + requests[r].origin.to_string());
     }
   };
 
@@ -331,6 +139,17 @@ TEST_P(PropagationOracleP, BatchedLanesMatchOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PropagationOracleP,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
 
+// More random graphs: four somewhat larger graphs per seed.
+class PropagationOracleGraphsP : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PropagationOracleGraphsP, AgreesOnRandomGraphs) {
+  expect_random_graphs_match(GetParam(), 4, 12, 28);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PropagationOracleGraphsP,
+                         ::testing::Values(1001, 2002, 3003, 4004, 5005,
+                                           6006, 7007, 8008));
+
 // ---------------------------------------------------------------------------
 // Cache equivalence and sharing.
 
@@ -339,7 +158,7 @@ TEST(PropagationCache, CachedMatchesUncached) {
   AsGraph graph = random_graph(rng, 24);
   auto policies = random_policies(rng, graph);
   PropagationSim sim(graph);
-  for (const auto& [asn, policy] : policies) sim.set_policy(Asn(asn), policy);
+  apply_policies(sim, policies);
 
   for (int a = 0; a < 12; ++a) {
     Asn origin(100 + static_cast<uint32_t>(rng.uniform(24)));
